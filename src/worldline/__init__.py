@@ -14,9 +14,6 @@ from .action import (
     Potential,
     ProblemConfig,
     StateVector,
-    action_gradient,
-    action_hessian,
-    action_value,
     custom_potential,
     free_potential,
     linear_potential,
@@ -53,11 +50,9 @@ from .reference import (
 from .sbp import (
     RegularizedOperator,
     SbpOperator,
-    apply,
     build_operator,
     build_sbp21,
     build_sbp42,
-    inner_product,
     regularize,
 )
 from .solver import (

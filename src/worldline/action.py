@@ -43,9 +43,8 @@ __all__ = [
     "StateVector",
     "DiscreteAction",
     "metric_g00",
-    "action_value",
-    "action_gradient",
-    "action_hessian",
+    "metric_g00_prime",
+    "metric_g00_second",
 ]
 
 
@@ -145,6 +144,10 @@ class ProblemConfig:
     order: str = "sbp21"
 
     def __post_init__(self):
+        if not isinstance(self.order, str):
+            raise InvalidConfig(f"order must be a string, got {self.order!r}")
+        if not isinstance(self.n_gamma, (int, np.integer)):
+            raise InvalidConfig(f"n_gamma must be an integer, got {self.n_gamma!r}")
         object.__setattr__(self, "order", self.order.lower())
         if self.order not in MIN_POINTS:
             raise InvalidConfig(f"unknown operator order {self.order!r}")
@@ -267,10 +270,22 @@ class StateVector:
         )
 
 
+# The metric and its x-derivatives, elementwise on a scalar or an array x.
+# The geodesic oracle calls them per right-hand-side evaluation, so they
+# add no conversion of their own.
 def metric_g00(x, cfg: ProblemConfig):
-    """Temporal metric component c^2 + 2 V(x)/m, elementwise."""
-    x = np.asarray(x, dtype=float)
+    """Temporal metric component g00 = c^2 + 2 V(x)/m."""
     return cfg.c ** 2 + 2.0 * cfg.potential.v(x) / cfg.m
+
+
+def metric_g00_prime(x, cfg: ProblemConfig):
+    """g00' = 2 V'(x)/m."""
+    return 2.0 * cfg.potential.dv(x) / cfg.m
+
+
+def metric_g00_second(x, cfg: ProblemConfig):
+    """g00'' = 2 V''(x)/m."""
+    return 2.0 * cfg.potential.d2v(x) / cfg.m
 
 
 class DiscreteAction:
@@ -300,16 +315,6 @@ class DiscreteAction:
         self.tdot_init = cfg.tdot_i
         self.x_init = cfg.x_i
         self.xdot_init = cfg.xdot_i
-
-    # metric helpers, all elementwise on x
-    def _g00(self, x):
-        return self.cfg.c ** 2 + 2.0 * self.cfg.potential.v(x) / self.cfg.m
-
-    def _g00_prime(self, x):
-        return 2.0 * self.cfg.potential.dv(x) / self.cfg.m
-
-    def _g00_second(self, x):
-        return 2.0 * self.cfg.potential.d2v(x) / self.cfg.m
 
     def _check(self, s: StateVector) -> None:
         if s.n != self.n:
@@ -343,7 +348,7 @@ class DiscreteAction:
         for sign, t, x in self._branches(s):
             wt = self.m_block @ t + self.shift_t
             wx = self.m_block @ x + self.shift_x
-            g00 = self._g00(x)
+            g00 = metric_g00(x, self.cfg)
             total += 0.5 * sign * (
                 np.dot(g00 * self.h_diag, wt * wt) - np.dot(self.h_diag, wx * wx)
             )
@@ -355,8 +360,8 @@ class DiscreteAction:
         for sign, t, x in self._branches(s):
             wt = self.m_block @ t + self.shift_t
             wx = self.m_block @ x + self.shift_x
-            g00 = self._g00(x)
-            gp = self._g00_prime(x)
+            g00 = metric_g00(x, self.cfg)
+            gp = metric_g00_prime(x, self.cfg)
             grad_t = sign * (self.m_block.T @ (g00 * self.h_diag * wt))
             grad_x = sign * (
                 0.5 * gp * self.h_diag * wt * wt
@@ -408,9 +413,9 @@ class DiscreteAction:
 
         for (t_off, x_off), (sign, t, x) in zip(offsets, self._branches(s)):
             wt = self.m_block @ t + self.shift_t
-            g00 = self._g00(x)
-            gp = self._g00_prime(x)
-            gpp = self._g00_second(x)
+            g00 = metric_g00(x, self.cfg)
+            gp = metric_g00_prime(x, self.cfg)
+            gpp = metric_g00_second(x, self.cfg)
 
             h_tt = sign * ((self.m_block.T * (g00 * self.h_diag)) @ self.m_block)
             h_xx = sign * (
@@ -428,18 +433,3 @@ class DiscreteAction:
         hess[4 * n :, : 4 * n] = jac
         hess[: 4 * n, 4 * n :] = jac.T
         return hess
-
-
-def action_value(s: StateVector, cfg: ProblemConfig) -> float:
-    """Value of the discrete doubled action at state ``s``."""
-    return DiscreteAction(cfg).value(s)
-
-
-def action_gradient(s: StateVector, cfg: ProblemConfig) -> np.ndarray:
-    """Analytic gradient w.r.t. all 4n + 8 unknowns."""
-    return DiscreteAction(cfg).gradient(s)
-
-
-def action_hessian(s: StateVector, cfg: ProblemConfig) -> np.ndarray:
-    """Analytic symmetric Hessian w.r.t. all 4n + 8 unknowns."""
-    return DiscreteAction(cfg).hessian(s)

@@ -6,17 +6,16 @@ timestamps appear anywhere.  Every run writes a manifest listing the
 emitted files with their SHA-256 checksums.
 
 Exit codes: 0 success, 1 configuration or flag error, 2 solver
-non-convergence (output files are still written and flagged), 3 I/O error.
+non-convergence, 3 I/O error.  On exit code 2 ``solve`` still writes its
+files, flagged as not converged; ``sweep`` writes none.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .action import InvalidConfig, ProblemConfig
-from .diagnostics import diagnose
+from .diagnostics import _csv_text, _fmt, diagnose
 from .reference import convergence_study, scaled_tdot_study
 from .sbp import build_operator, regularize
 from .solver import NonConvergence, SolveOptions, solve
@@ -47,10 +46,6 @@ output files:
   fit.json         fitted convergence exponents (omitted in --scale-tdot mode)
   manifest.json    emitted files with sha256 checksums
 """
-
-
-def _fmt(value) -> str:
-    return repr(float(value))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,15 +163,6 @@ class _OutputSink:
         )
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 def cmd_solve(args) -> int:
     try:
         cfg = _load_config(args.config)
@@ -213,8 +199,6 @@ def cmd_solve(args) -> int:
         # check for non-converged states so the data still lands on disk
         limit_tol = 1e-9 if sol.converged else np.inf
         report = diagnose(state, cfg, limit_tol=limit_tol)
-        import io
-
         buf = io.StringIO()
         report.write_csv(buf)
         sink.write_text("diagnostics.csv", buf.getvalue())
@@ -237,17 +221,6 @@ def cmd_solve(args) -> int:
         print(f"worldline solve: I/O error: {exc}", file=sys.stderr)
         return 3
     return exit_code
-
-
-def _sweep_threads(n_grids: int) -> int:
-    cap = os.environ.get("WORLDLINE_THREADS")
-    threads = min(4, os.cpu_count() or 1, n_grids)
-    if cap is not None:
-        try:
-            threads = max(1, min(threads, int(cap)))
-        except ValueError:
-            pass
-    return threads
 
 
 _SWEEP_HEADER = (
@@ -308,9 +281,7 @@ def cmd_sweep(args) -> int:
 
     try:
         if tdot_list is None:
-            table = convergence_study(
-                cfg, n_list, opts=opts, threads=_sweep_threads(len(n_list))
-            )
+            table = convergence_study(cfg, n_list, opts=opts)
             rows = list(table.rows)
             fit_payload = {"mode": "refinement", "fits": table.fit_exponents()}
         else:

@@ -15,13 +15,15 @@ reference trajectory.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .action import ProblemConfig, StateVector, metric_g00
+from .action import ProblemConfig, StateVector, metric_g00, metric_g00_prime
+from .sbp import SbpOperator
 
 __all__ = [
     "NotFreePotential",
@@ -51,13 +53,49 @@ class PhysicalLimitViolation(RuntimeError):
     """The two branches of a supposedly converged state do not coincide."""
 
 
-def _deriv(cfg: ProblemConfig, v: np.ndarray) -> np.ndarray:
-    return cfg.build_operator().d @ np.asarray(v, dtype=float)
+@dataclass(frozen=True)
+class _Trajectory:
+    """A trajectory with its operator, D t, D x and g00(x), each computed once."""
+
+    cfg: ProblemConfig
+    op: SbpOperator
+    t: np.ndarray
+    x: np.ndarray
+    dt: np.ndarray
+    dx: np.ndarray
+    g00: np.ndarray
+
+    @classmethod
+    def of(cls, t, x, cfg: ProblemConfig) -> "_Trajectory":
+        op = cfg.build_operator()
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        return cls(cfg, op, t, x, op.d @ t, op.d @ x, metric_g00(x, cfg))
+
+    def charge(self) -> np.ndarray:
+        return self.dt * self.g00
+
+    def geodesic_residuals(self):
+        d = self.op.d
+        dg_t = d @ (self.g00 * self.dt)
+        gp = metric_g00_prime(self.x, self.cfg)
+        dg_x = d @ self.dx + 0.5 * gp * self.dt * self.dt
+        return dg_t, dg_x
+
+    def free_case_charges(self):
+        return -self.dx, self.cfg.c ** 2 * self.x * self.dt - self.t * self.dx
+
+    def h_bvp(self) -> HBvpDiagnostic:
+        profile = 0.5 * (self.g00 * self.dt * self.dt + self.dx * self.dx)
+        total = float(self.op.h_diag @ profile)
+        span = float(self.t[-1] - self.t[0])
+        bound = float(metric_g00(self.cfg.x_i, self.cfg)) * self.cfg.tdot_i * span
+        return HBvpDiagnostic(profile=profile, total=total, bound=bound)
 
 
 def noether_charge_t(t, x, cfg: ProblemConfig) -> np.ndarray:
     """Time-translation charge profile (D t) o g00(x)."""
-    return _deriv(cfg, t) * metric_g00(x, cfg)
+    return _Trajectory.of(t, x, cfg).charge()
 
 
 def continuum_charge_t(cfg: ProblemConfig) -> float:
@@ -80,18 +118,12 @@ def geodesic_residuals(t, x, cfg: ProblemConfig):
     Returns (dg_t, dg_x) with
 
         dg_t = D (g00(x) o (D t))
-        dg_x = D D x + (g00'(x)/2) o (D t) o (D t),   g00' = 2 V'(x)/m.
+        dg_x = D D x + (g00'(x)/2) o (D t) o (D t).
 
     Both vanish in the continuum; discretely they stay at solver level
     everywhere except the last two grid points.
     """
-    d = cfg.build_operator().d
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    dt = d @ t
-    dg_t = d @ (metric_g00(x, cfg) * dt)
-    dg_x = d @ (d @ x) + (cfg.potential.dv(x) / cfg.m) * dt * dt
-    return dg_t, dg_x
+    return _Trajectory.of(t, x, cfg).geodesic_residuals()
 
 
 def free_case_charges(t, x, cfg: ProblemConfig):
@@ -104,14 +136,7 @@ def free_case_charges(t, x, cfg: ProblemConfig):
         raise NotFreePotential(
             "space-translation and boost charges exist only for V = 0"
         )
-    d = cfg.build_operator().d
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    dt = d @ t
-    dx = d @ x
-    q_x = -dx
-    q_boost = cfg.c ** 2 * x * dt - t * dx
-    return q_x, q_boost
+    return _Trajectory.of(t, x, cfg).free_case_charges()
 
 
 @dataclass(frozen=True)
@@ -129,15 +154,7 @@ def h_bvp_profile(t, x, cfg: ProblemConfig) -> HBvpDiagnostic:
     The total is bounded by g00(x_i) * tdot_i * (t[-1] - t[0]): the norm of
     the solution derivatives grows at most linearly with simulated time.
     """
-    op = cfg.build_operator()
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    dt = op.d @ t
-    dx = op.d @ x
-    profile = 0.5 * (metric_g00(x, cfg) * dt * dt + dx * dx)
-    total = float(op.h_diag @ profile)
-    bound = float(metric_g00(cfg.x_i, cfg)) * cfg.tdot_i * float(t[-1] - t[0])
-    return HBvpDiagnostic(profile=profile, total=total, bound=bound)
+    return _Trajectory.of(t, x, cfg).h_bvp()
 
 
 @dataclass(frozen=True)
@@ -182,9 +199,18 @@ _CSV_COLUMNS = (
 )
 
 
+# The float format and CSV dialect of every file worldline writes.
 def _fmt(value: float) -> str:
     # shortest round-trip decimal keeps output byte-deterministic
     return repr(float(value))
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -223,8 +249,6 @@ class DiagnosticsReport:
 
     def write_csv(self, f) -> None:
         """One row per gamma index; columns as in ``_CSV_COLUMNS``."""
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
         rows = zip(
             self.gamma,
             self.t,
@@ -236,8 +260,7 @@ class DiagnosticsReport:
             self.delta_g_x,
             self.h_bvp,
         )
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        f.write(_csv_text(_CSV_COLUMNS, ([_fmt(v) for v in row] for row in rows)))
 
     def summary_dict(self) -> dict:
         return {
@@ -277,13 +300,14 @@ def diagnose(
         )
 
     t, x = state.t1, state.x1
-    op = cfg.build_operator()
-    dg_t, dg_x = geodesic_residuals(t, x, cfg)
-    hb = h_bvp_profile(t, x, cfg)
+    tr = _Trajectory.of(t, x, cfg)
+    dg_t, dg_x = tr.geodesic_residuals()
+    hb = tr.h_bvp()
+    q_t = tr.charge()
 
     q_x = q_boost = None
     if cfg.potential.is_free:
-        q_x, q_boost = free_case_charges(t, x, cfg)
+        q_x, q_boost = tr.free_case_charges()
 
     eps = {}
     if reference is not None:
@@ -292,7 +316,7 @@ def diagnose(
             x_ref = reference.x(cfg.gamma_grid)
         else:
             t_ref, x_ref = reference
-        err = error_norms(t, x, t_ref, x_ref, op.h)
+        err = error_norms(t, x, t_ref, x_ref, tr.op.h)
         eps = {
             "eps_final_x": err.eps_final_x,
             "eps_final_t": err.eps_final_t,
@@ -304,11 +328,11 @@ def diagnose(
         gamma=cfg.gamma_grid,
         t=t.copy(),
         x=x.copy(),
-        q_t=noether_charge_t(t, x, cfg),
-        delta_e=charge_deviation(t, x, cfg),
+        q_t=q_t,
+        delta_e=q_t - continuum_charge_t(cfg),
         delta_g_t=dg_t,
         delta_g_x=dg_x,
-        time_mesh_velocity=op.d @ t,
+        time_mesh_velocity=tr.dt,
         h_bvp=hb.profile,
         h_bvp_total=hb.total,
         h_bvp_bound=hb.bound,

@@ -17,13 +17,12 @@ derivative samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
-from .action import ProblemConfig, metric_g00
+from .action import ProblemConfig, metric_g00, metric_g00_prime
 from .diagnostics import charge_deviation, error_norms, interior_slice
 from .solver import NonConvergence, SolveOptions, Solution, continuation_solve, solve
 
@@ -110,12 +109,10 @@ class ReferenceTrajectory:
 
 
 def _geodesic_rhs(cfg: ProblemConfig):
-    pot, m, c2 = cfg.potential, cfg.m, cfg.c ** 2
-
     def rhs(_gamma, y):
         t, td, x, xd = y
-        g00 = c2 + 2.0 * pot.v(x) / m
-        g00p = 2.0 * pot.dv(x) / m
+        g00 = metric_g00(x, cfg)
+        g00p = metric_g00_prime(x, cfg)
         return (td, -(g00p / g00) * xd * td, xd, -0.5 * g00p * td * td)
 
     return rhs
@@ -287,10 +284,6 @@ def _row_from_solution(cfg, oracle, sol: Solution) -> ConvergenceRow:
     )
 
 
-def _single_refinement(cfg, oracle, base_solution, opts):
-    return _row_from_solution(cfg, oracle, continuation_solve(cfg, opts, base_solution))
-
-
 def convergence_study(
     cfg: ProblemConfig,
     n_list,
@@ -298,13 +291,10 @@ def convergence_study(
     *,
     tol: float = 1e-12,
     opts: SolveOptions | None = None,
-    threads: int = 1,
 ) -> ConvergenceTable:
     """Solve on a sequence of grids and tabulate errors against the oracle.
 
     The coarsest grid is solved cold; every finer grid warm-starts from it.
-    With ``threads`` > 1 the refined solves run concurrently (they are
-    independent), which does not change any result.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3:
@@ -320,14 +310,8 @@ def convergence_study(
     base = solve(configs[0], opts)
     rows = [_row_from_solution(configs[0], oracle, base)]
 
-    rest = configs[1:]
-    if threads > 1 and len(rest) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows.extend(
-                pool.map(lambda c: _single_refinement(c, oracle, base, opts), rest)
-            )
-    else:
-        rows.extend(_single_refinement(c, oracle, base, opts) for c in rest)
+    for c in configs[1:]:
+        rows.append(_row_from_solution(c, oracle, continuation_solve(c, opts, base)))
     return ConvergenceTable(rows=tuple(rows))
 
 

@@ -32,8 +32,6 @@ __all__ = [
     "build_sbp42",
     "build_operator",
     "regularize",
-    "apply",
-    "inner_product",
     "MIN_POINTS",
     "SIGMA0",
 ]
@@ -231,37 +229,3 @@ def regularize(op: SbpOperator, init_value: float) -> RegularizedOperator:
         init_value=float(init_value),
         sigma0=SIGMA0,
     )
-
-
-def apply(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dimension-checked matrix-vector product.
-
-    Affine vectors for a regularized operator carry their trailing 1
-    explicitly; the corner row then reproduces it in the output.
-    """
-    mat = np.asarray(mat, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if mat.ndim != 2 or v.ndim != 1 or mat.shape[1] != v.shape[0]:
-        raise ValueError(
-            f"cannot apply matrix of shape {mat.shape} to vector of shape {v.shape}"
-        )
-    return mat @ v
-
-
-def inner_product(h: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    """Quadrature inner product u^T H v.
-
-    Works for both the classical norm and the zero-padded ``hbar``; in the
-    latter case the trailing affine entries contribute nothing.
-    """
-    h = np.asarray(h, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"quadrature must be a square matrix, got shape {h.shape}")
-    if u.shape != (h.shape[0],) or v.shape != (h.shape[0],):
-        raise ValueError(
-            f"vectors of shapes {u.shape}, {v.shape} do not match quadrature "
-            f"of shape {h.shape}"
-        )
-    return float(u @ h @ v)

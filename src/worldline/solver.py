@@ -62,9 +62,15 @@ class SolveOptions:
     ls_decrease: float = 1e-4
 
     def __post_init__(self):
-        for name in ("grad_tol", "max_iter", "lm_damping_init", "ls_shrink", "ls_decrease"):
+        for name in ("grad_tol", "lm_damping_init"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        # with ls_shrink >= 1 backtracking never falls below _MIN_STEP
+        for name in ("ls_shrink", "ls_decrease"):
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie strictly between 0 and 1")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer >= 1")
 
 
 @dataclass(frozen=True)

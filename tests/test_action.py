@@ -122,7 +122,7 @@ def test_value_zero_when_branches_coincide():
     t = rng.standard_normal(10)
     x = rng.standard_normal(10)
     s = wl.StateVector(t1=t, t2=t.copy(), x1=x, x2=x.copy(), lam=np.zeros(8))
-    assert wl.action_value(s, cfg) == 0.0
+    assert wl.DiscreteAction(cfg).value(s) == 0.0
 
 
 def test_value_zero_on_free_exact_line():
@@ -131,14 +131,14 @@ def test_value_zero_on_free_exact_line():
     s = wl.StateVector(
         t1=s.t1, t2=s.t2, x1=s.x1, x2=s.x2, lam=np.arange(8.0)
     )  # multipliers see exactly satisfied constraints
-    assert abs(wl.action_value(s, cfg)) <= 1e-12
+    assert abs(wl.DiscreteAction(cfg).value(s)) <= 1e-12
 
 
 def test_value_dimension_mismatch():
     cfg = wl.ProblemConfig(potential=wl.free_potential(), n_gamma=16)
     s = wl.initial_guess(replace(cfg, n_gamma=12))
     with pytest.raises(ValueError):
-        wl.action_value(s, cfg)
+        wl.DiscreteAction(cfg).value(s)
 
 
 # ---------------------------------------------------------------- derivatives
@@ -278,6 +278,5 @@ def test_exchange_antisymmetry():
     s = random_state(cfg, rng)
     plain = wl.StateVector(t1=s.t1, t2=s.t2, x1=s.x1, x2=s.x2, lam=np.zeros(8))
     swapped = wl.StateVector(t1=s.t2, t2=s.t1, x1=s.x2, x2=s.x1, lam=np.zeros(8))
-    assert wl.action_value(swapped, cfg) == pytest.approx(
-        -wl.action_value(plain, cfg), abs=1e-13
-    )
+    action = wl.DiscreteAction(cfg)
+    assert action.value(swapped) == pytest.approx(-action.value(plain), abs=1e-13)

@@ -109,6 +109,21 @@ def test_solve_bad_config_exits_1(tmp_path):
     assert main(["solve", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize(
+    "field", [{"n_gamma": 32.5}, {"n_gamma": 32.0}, {"order": 5}]
+)
+def test_malformed_config_value_exits_1(tmp_path, capsys, command, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"potential": {"type": "free"}, **field}))
+    argv = [command, "--config", str(bad), "--out", str(tmp_path / "o")]
+    if command == "sweep":
+        argv += ["--n-list", "8,16,32"]
+    assert main(argv) == 1
+    assert f"worldline {command}: bad configuration: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_solve_non_convergence_exits_2_with_files(quartic_config, tmp_path):
     out = tmp_path / "run"
     code = main(
@@ -137,8 +152,7 @@ def test_solve_io_error_exits_3(linear_config, tmp_path):
     assert code == 3
 
 
-def test_sweep_refinement(linear_config, tmp_path, monkeypatch):
-    monkeypatch.setenv("WORLDLINE_THREADS", "1")
+def test_sweep_refinement(linear_config, tmp_path):
     out = tmp_path / "sweep"
     code = main(
         [

@@ -156,13 +156,6 @@ def test_fit_refused_below_three_points(linear_cfg):
         table.fit_exponents(min_n=32)
 
 
-def test_convergence_study_threads_match_serial(linear_cfg):
-    serial = wl.convergence_study(linear_cfg, [8, 16, 32], threads=1)
-    parallel = wl.convergence_study(linear_cfg, [8, 16, 32], threads=3)
-    for a, b in zip(serial.rows, parallel.rows):
-        assert a == b
-
-
 def test_convergence_study_order_override(linear_cfg):
     table = wl.convergence_study(linear_cfg, [16, 32, 64], order="sbp42")
     fits = table.fit_exponents()

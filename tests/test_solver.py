@@ -15,7 +15,7 @@ def test_initial_guess_satisfies_constraints():
 
 def test_initial_guess_linear_potential_has_forcing():
     cfg = wl.ProblemConfig(potential=wl.linear_potential(0.25), n_gamma=32)
-    g = wl.action_gradient(wl.initial_guess(cfg), cfg)
+    g = wl.DiscreteAction(cfg).gradient(wl.initial_guess(cfg))
     assert np.linalg.norm(g) > 1e-3
 
 
@@ -92,6 +92,16 @@ def test_solve_options_validation():
         wl.SolveOptions(grad_tol=0.0)
     with pytest.raises(ValueError):
         wl.SolveOptions(max_iter=0)
+    # with ls_shrink >= 1 backtracking never gives up; both factors lie in (0, 1)
+    for bad in (0.0, 1.0, 1.5, -0.5):
+        with pytest.raises(ValueError):
+            wl.SolveOptions(ls_shrink=bad)
+        with pytest.raises(ValueError):
+            wl.SolveOptions(ls_decrease=bad)
+    for bad in (-1, 2.5, 20.0):
+        with pytest.raises(ValueError):
+            wl.SolveOptions(max_iter=bad)
+    wl.SolveOptions(ls_shrink=0.9, ls_decrease=0.5, max_iter=1)
 
 
 def test_guess_dimension_checked():
