@@ -14,17 +14,19 @@ the two branches at the final grid point.
 
 The discrete action evaluated here is
 
-    E = 1/2 (Dr t1)^T diag[g00(x1)] Hb (Dr t1) - 1/2 (Dr x1)^T Hb (Dr x1)
+    E = 1/2 (Dr t1)^T diag[g00(x1)] H (Dr t1) - 1/2 (Dr x1)^T H (Dr x1)
       - (same with branch 2)
       + lam . constraints
 
-with Dr the regularized SBP operator, Hb the zero-padded quadrature, and
-the constraint rows built from the classical operator D.
+with Dr u = M u + s the regularized SBP derivative (block M, shift s),
+H = diag(h) the quadrature, and the constraint rows built from the
+classical operator D.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -78,9 +80,16 @@ def free_potential() -> Potential:
     return Potential(v=zero, dv=zero, d2v=zero, label="free")
 
 
+def _finite_coefficient(name: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise InvalidConfig(f"{name} must be finite, got {value}")
+    return value
+
+
 def linear_potential(alpha: float) -> Potential:
     """V = alpha * x, a constant force."""
-    alpha = float(alpha)
+    alpha = _finite_coefficient("alpha", alpha)
     return Potential(
         v=lambda x: alpha * np.asarray(x, dtype=float),
         dv=lambda x: np.full_like(np.asarray(x, dtype=float), alpha),
@@ -92,7 +101,7 @@ def linear_potential(alpha: float) -> Potential:
 
 def quartic_potential(kappa: float) -> Potential:
     """V = kappa * x^4, strongly anharmonic."""
-    kappa = float(kappa)
+    kappa = _finite_coefficient("kappa", kappa)
     return Potential(
         v=lambda x: kappa * np.asarray(x, dtype=float) ** 4,
         dv=lambda x: 4.0 * kappa * np.asarray(x, dtype=float) ** 3,
@@ -148,6 +157,10 @@ class ProblemConfig:
             raise InvalidConfig(f"order must be a string, got {self.order!r}")
         if not isinstance(self.n_gamma, (int, np.integer)):
             raise InvalidConfig(f"n_gamma must be an integer, got {self.n_gamma!r}")
+        for name in ("m", "c", "t_i", "x_i", "tdot_i", "xdot_i", "gamma_i", "gamma_f"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidConfig(f"{name} must be finite, got {value!r}")
         object.__setattr__(self, "order", self.order.lower())
         if self.order not in MIN_POINTS:
             raise InvalidConfig(f"unknown operator order {self.order!r}")
@@ -204,11 +217,13 @@ class ProblemConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProblemConfig":
+        if not isinstance(data, dict):
+            raise InvalidConfig(f"configuration must be a JSON object, got {data!r}")
         try:
             pot_spec = dict(data["potential"])
             pot_type = pot_spec.pop("type")
             potential = _POTENTIAL_BUILDERS[pot_type](pot_spec)
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise InvalidConfig(f"bad potential specification: {exc}") from exc
         kwargs = {k: v for k, v in data.items() if k != "potential"}
         try:
@@ -303,11 +318,11 @@ class DiscreteAction:
         self.op = cfg.build_operator()
         self.reg_t = regularize(self.op, cfg.t_i)
         self.reg_x = regularize(self.op, cfg.x_i)
-        # the linear part is shared; only the shift column differs
+        # the block is shared; only the shift differs
         self.m_block = self.reg_t.m_block
         self.shift_t = self.reg_t.shift
         self.shift_x = self.reg_x.shift
-        self.h_diag = self.op.h_diag
+        self.h = self.op.h
         self.d_first = self.op.d[0]
         self.d_last = self.op.d[-1]
         # constraint targets for lam_1..lam_4
@@ -350,7 +365,7 @@ class DiscreteAction:
             wx = self.m_block @ x + self.shift_x
             g00 = metric_g00(x, self.cfg)
             total += 0.5 * sign * (
-                np.dot(g00 * self.h_diag, wt * wt) - np.dot(self.h_diag, wx * wx)
+                np.dot(g00 * self.h, wt * wt) - np.dot(self.h, wx * wx)
             )
         return float(total + np.dot(s.lam, self.constraints(s)))
 
@@ -362,10 +377,10 @@ class DiscreteAction:
             wx = self.m_block @ x + self.shift_x
             g00 = metric_g00(x, self.cfg)
             gp = metric_g00_prime(x, self.cfg)
-            grad_t = sign * (self.m_block.T @ (g00 * self.h_diag * wt))
+            grad_t = sign * (self.m_block.T @ (g00 * self.h * wt))
             grad_x = sign * (
-                0.5 * gp * self.h_diag * wt * wt
-                - self.m_block.T @ (self.h_diag * wx)
+                0.5 * gp * self.h * wt * wt
+                - self.m_block.T @ (self.h * wx)
             )
             coord_grads.append((grad_t, grad_x))
 
@@ -417,12 +432,12 @@ class DiscreteAction:
             gp = metric_g00_prime(x, self.cfg)
             gpp = metric_g00_second(x, self.cfg)
 
-            h_tt = sign * ((self.m_block.T * (g00 * self.h_diag)) @ self.m_block)
+            h_tt = sign * ((self.m_block.T * (g00 * self.h)) @ self.m_block)
             h_xx = sign * (
-                np.diag(0.5 * gpp * self.h_diag * wt * wt)
-                - (self.m_block.T * self.h_diag) @ self.m_block
+                np.diag(0.5 * gpp * self.h * wt * wt)
+                - (self.m_block.T * self.h) @ self.m_block
             )
-            h_tx = sign * (self.m_block.T * (gp * self.h_diag * wt))
+            h_tx = sign * (self.m_block.T * (gp * self.h * wt))
 
             hess[t_off : t_off + n, t_off : t_off + n] = h_tt
             hess[x_off : x_off + n, x_off : x_off + n] = h_xx

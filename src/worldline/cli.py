@@ -25,7 +25,7 @@ import numpy as np
 from .action import InvalidConfig, ProblemConfig
 from .diagnostics import _csv_text, _fmt, diagnose
 from .reference import convergence_study, scaled_tdot_study
-from .sbp import build_operator, regularize
+from .sbp import SIGMA0, build_operator, regularize
 from .solver import NonConvergence, SolveOptions, solve
 
 __all__ = ["main"]
@@ -311,6 +311,7 @@ def cmd_sweep(args) -> int:
 def cmd_dump_operator(args) -> int:
     try:
         op = build_operator(args.order, args.n, args.dgamma)
+        h = np.diag(op.h)
         payload = {
             "order": args.order,
             "n": op.n,
@@ -318,16 +319,18 @@ def cmd_dump_operator(args) -> int:
             "interior_order": op.interior_order,
             "boundary_order": op.boundary_order,
             "d": [[float(v) for v in row] for row in op.d],
-            "h": [[float(v) for v in row] for row in op.h],
+            "h": [[float(v) for v in row] for row in h],
         }
         if args.regularized:
             reg = regularize(op, args.init_value)
             payload.update(
                 {
                     "init_value": reg.init_value,
-                    "sigma0": reg.sigma0,
+                    "sigma0": SIGMA0,
                     "dbar": [[float(v) for v in row] for row in reg.dbar],
-                    "hbar": [[float(v) for v in row] for row in reg.hbar],
+                    # the quadrature padded by a zero row and column, so the
+                    # affine entry of dbar never enters an inner product
+                    "hbar": [[float(v) for v in row] for row in np.pad(h, (0, 1))],
                 }
             )
     except ValueError as exc:

@@ -87,7 +87,7 @@ class _Trajectory:
 
     def h_bvp(self) -> HBvpDiagnostic:
         profile = 0.5 * (self.g00 * self.dt * self.dt + self.dx * self.dx)
-        total = float(self.op.h_diag @ profile)
+        total = float(self.op.h @ profile)
         span = float(self.t[-1] - self.t[0])
         bound = float(metric_g00(self.cfg.x_i, self.cfg)) * self.cfg.tdot_i * span
         return HBvpDiagnostic(profile=profile, total=total, bound=bound)
@@ -168,21 +168,21 @@ class ErrorNorms:
 
 
 def error_norms(t, x, t_ref, x_ref, h: np.ndarray) -> ErrorNorms:
-    """Absolute endpoint errors and H-weighted L2 norms of the deviation."""
+    """Absolute endpoint errors and L2 norms weighted by the quadrature ``h``."""
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     t_ref = np.asarray(t_ref, dtype=float)
     x_ref = np.asarray(x_ref, dtype=float)
     h = np.asarray(h, dtype=float)
-    if not (t.shape == x.shape == t_ref.shape == x_ref.shape == (h.shape[0],)):
+    if not (t.shape == x.shape == t_ref.shape == x_ref.shape == h.shape):
         raise ValueError("trajectory, reference, and quadrature sizes disagree")
     et = t - t_ref
     ex = x - x_ref
     return ErrorNorms(
         eps_final_x=float(abs(ex[-1])),
         eps_final_t=float(abs(et[-1])),
-        eps_l2_x=float(np.sqrt(ex @ h @ ex)),
-        eps_l2_t=float(np.sqrt(et @ h @ et)),
+        eps_l2_x=float(np.sqrt((ex * h) @ ex)),
+        eps_l2_t=float(np.sqrt((et * h) @ et)),
     )
 
 

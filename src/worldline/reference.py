@@ -10,8 +10,8 @@ the variational scheme:
       d2x/dt2 = -(V'(x)/m) (1 - (dx/dt)^2 / c^2)^(3/2).
 
 Agreement between the two after reparametrization validates the oracle
-itself; dense output is a cubic Hermite interpolant built from the stored
-derivative samples.
+itself; dense output of the positions is a cubic Hermite interpolant with
+the stored velocity samples as slopes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 
 from .action import ProblemConfig, metric_g00, metric_g00_prime
-from .diagnostics import charge_deviation, error_norms, interior_slice
+from .diagnostics import diagnose
 from .solver import NonConvergence, SolveOptions, Solution, continuation_solve, solve
 
 __all__ = [
@@ -83,7 +83,7 @@ def _run_ivp(rhs, span, y0, tol, events=None):
 
 @dataclass(frozen=True)
 class ReferenceTrajectory:
-    """Dense-output geodesic solution (t, x, tdot, xdot over gamma)."""
+    """Geodesic solution samples (t, x, tdot, xdot over gamma), dense in t and x."""
 
     gamma_samples: np.ndarray
     t_samples: np.ndarray
@@ -92,20 +92,12 @@ class ReferenceTrajectory:
     xdot_samples: np.ndarray
     _interp_t: CubicHermiteSpline
     _interp_x: CubicHermiteSpline
-    _interp_tdot: CubicHermiteSpline
-    _interp_xdot: CubicHermiteSpline
 
     def t(self, gamma):
         return self._interp_t(gamma)
 
     def x(self, gamma):
         return self._interp_x(gamma)
-
-    def tdot(self, gamma):
-        return self._interp_tdot(gamma)
-
-    def xdot(self, gamma):
-        return self._interp_xdot(gamma)
 
 
 def _geodesic_rhs(cfg: ProblemConfig):
@@ -130,10 +122,6 @@ def solve_geodesic_ode(cfg: ProblemConfig, tol: float = 1e-12) -> ReferenceTraje
     )
     gamma = sol.t
     t, td, x, xd = sol.y
-    tdd = np.empty_like(td)
-    xdd = np.empty_like(xd)
-    for k in range(gamma.size):
-        _, tdd[k], _, xdd[k] = rhs(gamma[k], sol.y[:, k])
     return ReferenceTrajectory(
         gamma_samples=gamma,
         t_samples=t,
@@ -142,8 +130,6 @@ def solve_geodesic_ode(cfg: ProblemConfig, tol: float = 1e-12) -> ReferenceTraje
         xdot_samples=xd,
         _interp_t=CubicHermiteSpline(gamma, t, td),
         _interp_x=CubicHermiteSpline(gamma, x, xd),
-        _interp_tdot=CubicHermiteSpline(gamma, td, tdd),
-        _interp_xdot=CubicHermiteSpline(gamma, xd, xdd),
     )
 
 
@@ -155,13 +141,9 @@ class PhysicalTrajectory:
     x_samples: np.ndarray
     v_samples: np.ndarray
     _interp_x: CubicHermiteSpline
-    _interp_v: CubicHermiteSpline
 
     def x(self, t):
         return self._interp_x(t)
-
-    def v(self, t):
-        return self._interp_v(t)
 
 
 def solve_physical_eom(
@@ -203,13 +185,11 @@ def solve_physical_eom(
         )
     t = sol.t
     x, u = sol.y
-    udot = np.array([rhs(tk, sol.y[:, k])[1] for k, tk in enumerate(t)])
     return PhysicalTrajectory(
         t_samples=t,
         x_samples=x,
         v_samples=u,
         _interp_x=CubicHermiteSpline(t, x, u),
-        _interp_v=CubicHermiteSpline(t, u, udot),
     )
 
 
@@ -263,24 +243,16 @@ class ConvergenceTable:
 
 
 def _row_from_solution(cfg, oracle, sol: Solution) -> ConvergenceRow:
-    grid = cfg.gamma_grid
-    err = error_norms(
-        sol.state.t1,
-        sol.state.x1,
-        oracle.t(grid),
-        oracle.x(grid),
-        cfg.build_operator().h,
-    )
-    delta_e = charge_deviation(sol.state.t1, sol.state.x1, cfg)
+    report = diagnose(sol.state, cfg, oracle)
     return ConvergenceRow(
         n_gamma=cfg.n_gamma,
         dgamma=cfg.dgamma,
-        eps_final_x=err.eps_final_x,
-        eps_final_t=err.eps_final_t,
-        eps_l2_x=err.eps_l2_x,
-        eps_l2_t=err.eps_l2_t,
-        delta_e_end=float(abs(delta_e[-1])),
-        max_interior_delta_e=float(np.max(np.abs(delta_e[interior_slice]))),
+        eps_final_x=report.eps_final_x,
+        eps_final_t=report.eps_final_t,
+        eps_l2_x=report.eps_l2_x,
+        eps_l2_t=report.eps_l2_t,
+        delta_e_end=report.delta_e_end,
+        max_interior_delta_e=report.max_interior_delta_e,
     )
 
 

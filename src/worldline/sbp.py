@@ -13,10 +13,11 @@ Two operator families are provided:
 * ``build_sbp42`` -- fourth-order interior stencil, second-order four-row
   closures, with the matching boundary quadrature weights.
 
-``regularize`` turns either of them into an affine (n+1) x (n+1) operator
-that absorbs an initial-value penalty term.  The penalty lifts the highly
-oscillatory left null mode of D, so the regularized matrix is nonsingular
-and safe to use inside a quadratic functional.
+The norm H is stored as its diagonal, the vector ``h`` of quadrature
+weights.  ``regularize`` absorbs an initial-value penalty term into either
+family: D u becomes M u + s with an n x n block M and a shift vector s.
+The penalty lifts the highly oscillatory left null mode of D, so M is
+nonsingular and safe to use inside a quadratic functional.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SbpOperator:
-    """Classical SBP pair: differentiation matrix ``d`` and diagonal norm ``h``."""
+    """Classical SBP pair: differentiation matrix ``d`` and norm weights ``h``."""
 
     n: int
     dgamma: float
@@ -61,65 +62,45 @@ class SbpOperator:
     boundary_order: int
 
     @property
-    def h_diag(self) -> np.ndarray:
-        return np.diag(self.h)
-
-    @property
     def q(self) -> np.ndarray:
         """Almost-skew part Q = H D."""
-        return self.h @ self.d
+        return self.h[:, None] * self.d
 
 
 @dataclass(frozen=True)
 class RegularizedOperator:
-    """Affine extension of an SBP operator with the initial-value penalty absorbed.
+    """An SBP operator with the initial-value penalty absorbed.
 
-    ``dbar`` acts on vectors (u_0, ..., u_{n-1}, 1); its upper-left n x n
-    block is D - sigma0 * H^{-1} E_0 and its last column carries the shift
-    sigma0 * H^{-1} E_0 g with g = (init_value, 0, ..., 0).  ``hbar`` is the
-    quadrature padded by a zero row and column so the affine entry never
-    contributes to inner products.
+    The regularized derivative of u is ``m_block @ u + shift``: ``m_block``
+    is D - sigma0 * H^{-1} E_0 and ``shift`` is sigma0 * H^{-1} E_0 g with
+    g = (init_value, 0, ..., 0), for sigma0 = ``SIGMA0``.
     """
 
     base: SbpOperator
-    dbar: np.ndarray
-    hbar: np.ndarray
+    m_block: np.ndarray
+    shift: np.ndarray
     init_value: float
-    sigma0: float = SIGMA0
 
     @property
     def n(self) -> int:
         return self.base.n
 
     @property
-    def m_block(self) -> np.ndarray:
-        """The n x n linear part of ``dbar``."""
-        return self.dbar[:-1, :-1]
-
-    @property
-    def shift(self) -> np.ndarray:
-        """The length-n shift column of ``dbar``."""
-        return self.dbar[:-1, -1]
-
-    def path_derivative(self, u: np.ndarray) -> np.ndarray:
-        """Apply the regularized operator to a plain length-n vector.
-
-        Appends the affine 1, multiplies, and strips the trailing entry, so
-        callers never handle the affine convention themselves.
-        """
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.n,):
-            raise ValueError(
-                f"expected a length-{self.n} vector, got shape {u.shape}"
-            )
-        return self.m_block @ u + self.shift
+    def dbar(self) -> np.ndarray:
+        """The affine (n+1) x (n+1) form acting on (u_0, ..., u_{n-1}, 1)."""
+        n = self.n
+        dbar = np.zeros((n + 1, n + 1))
+        dbar[:n, :n] = self.m_block
+        dbar[:n, n] = self.shift
+        dbar[n, n] = 1.0
+        return dbar
 
 
 def _validate_grid(n: int, dgamma: float, minimum: int, family: str) -> None:
     if int(n) != n or n < minimum:
         raise ValueError(f"{family} needs at least {minimum} grid points, got {n}")
-    if not dgamma > 0.0:
-        raise ValueError(f"grid spacing must be positive, got {dgamma}")
+    if not 0.0 < dgamma < np.inf:
+        raise ValueError(f"grid spacing must be positive and finite, got {dgamma}")
 
 
 def build_sbp21(n: int, dgamma: float) -> SbpOperator:
@@ -141,7 +122,7 @@ def build_sbp21(n: int, dgamma: float) -> SbpOperator:
         n=n,
         dgamma=float(dgamma),
         d=_freeze(d / dgamma),
-        h=_freeze(np.diag(hd * dgamma)),
+        h=_freeze(hd * dgamma),
         interior_order=2,
         boundary_order=1,
     )
@@ -185,7 +166,7 @@ def build_sbp42(n: int, dgamma: float) -> SbpOperator:
         n=n,
         dgamma=float(dgamma),
         d=_freeze(d / dgamma),
-        h=_freeze(np.diag(hd * dgamma)),
+        h=_freeze(hd * dgamma),
         interior_order=4,
         boundary_order=2,
     )
@@ -204,28 +185,21 @@ def build_operator(order: str, n: int, dgamma: float) -> SbpOperator:
 
 
 def regularize(op: SbpOperator, init_value: float) -> RegularizedOperator:
-    """Absorb the initial-value penalty into an affine operator.
+    """Absorb the initial-value penalty into a block and a shift.
 
-    The upper-left block becomes D - sigma0 * H^{-1} E_0 and the new last
-    column holds sigma0 * H^{-1} E_0 g, with g carrying ``init_value`` in
-    its first entry.  The corner entry is 1 so affine vectors stay affine.
+    The block is D - sigma0 * H^{-1} E_0 and the shift sigma0 * H^{-1} E_0 g,
+    with g carrying ``init_value`` in its first entry.
     """
-    n = op.n
-    h00 = op.h[0, 0]
-
-    dbar = np.zeros((n + 1, n + 1))
-    dbar[:n, :n] = op.d
-    dbar[0, 0] -= SIGMA0 / h00
-    dbar[0, n] = SIGMA0 * init_value / h00
-    dbar[n, n] = 1.0
-
-    hbar = np.zeros((n + 1, n + 1))
-    hbar[:n, :n] = op.h
-
+    if not np.isfinite(init_value):
+        raise ValueError(f"init_value must be finite, got {init_value}")
+    h00 = op.h[0]
+    m_block = op.d.copy()
+    m_block[0, 0] -= SIGMA0 / h00
+    shift = np.zeros(op.n)
+    shift[0] = SIGMA0 * init_value / h00
     return RegularizedOperator(
         base=op,
-        dbar=_freeze(dbar),
-        hbar=_freeze(hbar),
+        m_block=_freeze(m_block),
+        shift=_freeze(shift),
         init_value=float(init_value),
-        sigma0=SIGMA0,
     )

@@ -5,6 +5,17 @@ import pytest
 
 import worldline as wl
 
+try:
+    from hypothesis import settings
+except ImportError:  # tests/test_properties.py skips itself without it
+    pass
+else:
+    # deterministic draws and no example database on disk
+    settings.register_profile(
+        "worldline", derandomize=True, database=None, deadline=None
+    )
+    settings.load_profile("worldline")
+
 
 def fd_gradient(action, z, n):
     """Central-difference gradient of the action value."""

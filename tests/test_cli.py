@@ -107,11 +107,25 @@ def test_solve_bad_config_exits_1(tmp_path):
     assert main(["solve", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
     missing = tmp_path / "does-not-exist.json"
     assert main(["solve", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1, 2]")
+    argv = ["solve", "--config", str(not_an_object), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 @pytest.mark.parametrize(
-    "field", [{"n_gamma": 32.5}, {"n_gamma": 32.0}, {"order": 5}]
+    "field",
+    [
+        {"n_gamma": 32.5},
+        {"n_gamma": 32.0},
+        {"order": 5},
+        {"m": float("nan")},
+        {"x_i": float("inf")},
+        {"gamma_f": float("inf")},
+        {"potential": {"type": "quartic", "kappa": float("nan")}},
+        {"potential": {"type": "linear", "alpha": None}},
+    ],
 )
 def test_malformed_config_value_exits_1(tmp_path, capsys, command, field):
     bad = tmp_path / "bad.json"
@@ -265,7 +279,23 @@ def test_dump_operator_regularized(capsys):
     assert first[1] == pytest.approx(1 / 0.5)
     assert all(v == 0 for v in first[2:])
     assert payload["dbar"][-1] == [0, 0, 0, 0, 1]
-    assert all(v == 0 for v in payload["hbar"][-1])
+    # hbar is h padded by a zero row and column
+    hbar = np.array(payload["hbar"])
+    assert hbar.shape == (5, 5)
+    assert np.all(hbar[-1, :] == 0.0)
+    assert np.all(hbar[:, -1] == 0.0)
+    assert hbar[:-1, :-1].tolist() == payload["h"]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--dgamma", "inf"], ["--dgamma", "0.5", "--regularized", "--init-value", "nan"]],
+)
+def test_dump_operator_non_finite_exits_1(capsys, flags):
+    assert main(["dump-operator", "--order", "sbp21", "--n", "4", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_dump_operator_too_small_exits_1(capsys):

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
 
 import worldline as wl
-from worldline.sbp import MIN_POINTS
+from worldline.sbp import MIN_POINTS, SIGMA0
 
 
 def boundary_identity(n):
@@ -16,17 +18,15 @@ def boundary_identity(n):
 def test_sbp21_example_matrices():
     op = wl.build_sbp21(3, 0.5)
     np.testing.assert_allclose(op.d, [[-2, 2, 0], [-1, 0, 1], [0, -2, 2]])
-    np.testing.assert_allclose(op.h, np.diag([0.25, 0.5, 0.25]))
+    np.testing.assert_allclose(op.h, [0.25, 0.5, 0.25])
     assert op.interior_order == 2 and op.boundary_order == 1
 
 
 def test_sbp42_boundary_closure():
     op = wl.build_sbp42(12, 1.0)
     np.testing.assert_allclose(op.d[0, :5], [-24 / 17, 59 / 34, -4 / 17, -3 / 34, 0])
-    np.testing.assert_allclose(
-        np.diag(op.h)[:4], [17 / 48, 59 / 48, 43 / 48, 49 / 48]
-    )
-    np.testing.assert_allclose(np.diag(op.h)[-4:], [49 / 48, 43 / 48, 59 / 48, 17 / 48])
+    np.testing.assert_allclose(op.h[:4], [17 / 48, 59 / 48, 43 / 48, 49 / 48])
+    np.testing.assert_allclose(op.h[-4:], [49 / 48, 43 / 48, 59 / 48, 17 / 48])
     # mirrored right closure with flipped sign
     np.testing.assert_allclose(op.d[-1, -5:], -op.d[0, :5][::-1])
 
@@ -81,7 +81,7 @@ def test_mimetic_summation_by_parts():
         op = wl.build_operator(order, n, 0.21)
         u = rng.standard_normal(n)
         v = rng.standard_normal(n)
-        lhs = u @ op.h @ (op.d @ v) + (op.d @ u) @ op.h @ v
+        lhs = (u * op.h) @ (op.d @ v) + ((op.d @ u) * op.h) @ v
         assert abs(lhs - (u[-1] * v[-1] - u[0] * v[0])) <= 1e-12
 
 
@@ -96,6 +96,12 @@ def test_invalid_dimensions():
         wl.build_sbp42(8, 0.1)
     with pytest.raises(ValueError):
         wl.build_operator("sbp63", 16, 0.1)
+    for dgamma in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            wl.build_sbp21(5, dgamma)
+    for init_value in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            wl.regularize(wl.build_sbp21(5, 0.1), init_value)
 
 
 def test_regularized_first_row_and_shift():
@@ -109,15 +115,20 @@ def test_regularized_first_row_and_shift():
     # order-appropriate analogue for the fourth-order operator
     reg42 = wl.regularize(wl.build_sbp42(12, 0.5), 2.0)
     assert reg42.dbar[0, -1] == pytest.approx(-2.0 * 48 / (17 * 0.5))
-    assert reg42.sigma0 == -1.0
+    assert SIGMA0 == -1.0
 
 
-def test_regularized_hbar_zero_padding():
+def test_regularized_hbar_zero_padding(capsys):
+    # the padded quadrature hbar is built only for dump-operator --regularized
+    from worldline.cli import main
+
     op = wl.build_sbp21(5, 0.3)
-    reg = wl.regularize(op, 0.4)
-    assert np.all(reg.hbar[-1, :] == 0.0)
-    assert np.all(reg.hbar[:, -1] == 0.0)
-    np.testing.assert_allclose(reg.hbar[:-1, :-1], op.h)
+    args = ["dump-operator", "--order", "sbp21", "--n", "5", "--dgamma", "0.3"]
+    assert main(args + ["--regularized", "--init-value", "0.4"]) == 0
+    hbar = np.array(json.loads(capsys.readouterr().out)["hbar"])
+    assert np.all(hbar[-1, :] == 0.0)
+    assert np.all(hbar[:, -1] == 0.0)
+    np.testing.assert_allclose(hbar[:-1, :-1], np.diag(op.h))
 
 
 def test_regularized_applied_to_constants():
@@ -154,36 +165,19 @@ def test_path_derivative_matches_affine_application():
     reg = wl.regularize(wl.build_sbp42(12, 0.15), -0.6)
     u = rng.standard_normal(12)
     full = reg.dbar @ np.append(u, 1.0)
-    np.testing.assert_allclose(reg.path_derivative(u), full[:-1], rtol=1e-14)
+    np.testing.assert_allclose(reg.m_block @ u + reg.shift, full[:-1], rtol=1e-14)
     assert full[-1] == 1.0
-
-
-def test_apply_dimension_mismatch():
-    op = wl.build_sbp21(5, 0.1)
-    with pytest.raises(ValueError):
-        wl.regularize(op, 0.0).path_derivative(np.ones(6))
 
 
 def test_inner_product_values():
     # constants integrate exactly under the trapezoidal norm on [0, 1]
     op = wl.build_sbp21(9, 1 / 8)
     ones = np.ones(9)
-    assert ones @ op.h @ ones == pytest.approx(1.0)
+    assert (ones * op.h) @ ones == pytest.approx(1.0)
     # two-panel trapezoid of gamma^2 on [0, 1]
     op3 = wl.build_sbp21(3, 0.5)
     gamma = np.array([0.0, 0.5, 1.0])
-    assert gamma @ op3.h @ gamma == pytest.approx(0.375)
-
-
-def test_inner_product_affine_padding():
-    rng = np.random.default_rng(5)
-    op = wl.build_sbp21(6, 0.2)
-    reg = wl.regularize(op, 0.3)
-    u = rng.standard_normal(6)
-    v = rng.standard_normal(6)
-    plain = u @ op.h @ v
-    padded = np.append(u, 1.0) @ reg.hbar @ np.append(v, 1.0)
-    assert padded == pytest.approx(plain, rel=1e-14)
+    assert (gamma * op3.h) @ gamma == pytest.approx(0.375)
 
 
 def test_minimum_points_table():
