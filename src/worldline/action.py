@@ -21,6 +21,12 @@ The discrete action evaluated here is
 with Dr u = M u + s the regularized SBP derivative (block M, shift s),
 H = diag(h) the quadrature, and the constraint rows built from the
 classical operator D.
+
+The Hessian is a saddle-point matrix with a few nonzeros per row.  With the
+unknowns ordered as lam_1..lam_4, then (t1, t2, x1, x2) at each grid point,
+then lam_5..lam_8, it is banded with kl = ku = 10 (sbp21) or 20 (sbp42) at
+every grid size, and ``DiscreteAction.hessian`` assembles it straight into
+the LAPACK band storage that ``dgbsv`` factors.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
     "custom_potential",
     "ProblemConfig",
     "StateVector",
+    "BandedHessian",
     "DiscreteAction",
     "metric_g00",
     "metric_g00_prime",
@@ -303,13 +310,37 @@ def metric_g00_second(x, cfg: ProblemConfig):
     return 2.0 * cfg.potential.d2v(x) / cfg.m
 
 
+@dataclass(frozen=True)
+class BandedHessian:
+    """The Hessian in LAPACK general-band storage, in band order.
+
+    Entry (i, j) sits at ``ab[kl + ku + i - j, j]``; the first ``kl`` rows
+    are the room ``dgbsv`` needs for the fill-in of partial pivoting.
+    Band unknown b is entry ``order[b]`` of ``StateVector.pack``.
+    """
+
+    ab: np.ndarray
+    kl: int
+    ku: int
+    order: np.ndarray
+
+    def __array__(self, dtype=None, copy=None):
+        """The dense matrix in ``StateVector.pack`` order."""
+        r, j = np.nonzero(self.ab[self.kl :])
+        size = self.ab.shape[1]
+        dense = np.zeros((size, size))
+        dense[self.order[j + r - self.ku], self.order[j]] = self.ab[self.kl + r, j]
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
 class DiscreteAction:
     """Evaluator for the discrete action, its gradient, and its Hessian.
 
-    Operators are assembled once at construction.  The initial-data targets
-    of the multiplier constraints are kept as plain attributes, separate
-    from the shift absorbed into the regularized operators, so the two
-    roles of the initial values can be probed independently.
+    Operators and the band pattern of the Hessian are assembled once at
+    construction.  The initial-data targets of the multiplier constraints
+    are kept as plain attributes, separate from the shift absorbed into the
+    regularized operators, so the two roles of the initial values can be
+    probed independently.
     """
 
     def __init__(self, cfg: ProblemConfig):
@@ -330,6 +361,63 @@ class DiscreteAction:
         self.tdot_init = cfg.tdot_i
         self.x_init = cfg.x_i
         self.xdot_init = cfg.xdot_i
+        self._band_pattern()
+
+    def _band_pattern(self) -> None:
+        """Record the band slot, coefficient and weight of every Hessian term.
+
+        The weight vector ``hessian`` builds holds, per branch, g00 h,
+        g00' h wt and 1/2 g00'' h wt^2 at each grid point, then a constant 1.
+        A term contributes coefficient * weight to its slot of the band.
+        """
+        n = self.n
+        # band position of each packed unknown: lam_1..lam_4, then
+        # (t1, t2, x1, x2) point by point, then lam_5..lam_8
+        pos = np.concatenate(
+            [
+                (4 + 4 * np.arange(n) + np.arange(4)[:, None]).ravel(),
+                np.arange(4),
+                4 * n + np.arange(4, 8),
+            ]
+        )
+        const = 6 * n
+        terms = []  # (row, col, coefficient, weight index) arrays
+
+        # Each ordered pair (a, b) of nonzeros in one row k of M gives the
+        # term M[k, i_a] w_k M[k, i_b] of M^T diag(w) M.  The flat scan lists
+        # them row by row; on a boolean mask it is several times faster
+        # than np.nonzero on the float matrix.
+        k, i = np.divmod(np.flatnonzero(self.m_block != 0), n)
+        m = self.m_block[k, i]
+        first = np.searchsorted(k, k)
+        count = np.searchsorted(k, k, side="right") - first
+        a = np.repeat(np.arange(k.size), count)
+        b = first[a] + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+        mm, ka = m[a] * m[b], k[a]
+
+        for branch, sign in enumerate((1.0, -1.0)):
+            tb = pos[branch * n : (branch + 1) * n]
+            xb = pos[(2 + branch) * n : (3 + branch) * n]
+            g00h, gpw, gppw = 3 * n * branch + n * np.arange(3)
+            terms += [
+                (tb[i[a]], tb[i[b]], sign * mm, g00h + ka),
+                (xb[i[a]], xb[i[b]], -sign * mm * self.h[ka], np.full(ka.size, const)),
+                (xb, xb, np.full(n, sign), gppw + np.arange(n)),
+                (tb[i], xb[k], sign * m, gpw + k),
+                (xb[k], tb[i], sign * m, gpw + k),
+            ]
+
+        jac = self.constraint_jacobian()
+        r, c = np.nonzero(jac)
+        lam, coord, weight = pos[4 * n + r], pos[c], np.full(r.size, const)
+        terms += [(lam, coord, jac[r, c], weight), (coord, lam, jac[r, c], weight)]
+
+        rows, cols, self._coef, self._weight = map(np.concatenate, zip(*terms))
+        self.kl = int(np.max(rows - cols))
+        self.ku = int(np.max(cols - rows))
+        self._band_shape = (2 * self.kl + self.ku + 1, 4 * n + 8)
+        self._slot = (self.kl + self.ku + rows - cols) * (4 * n + 8) + cols
+        self._order = np.argsort(pos)
 
     def _check(self, s: StateVector) -> None:
         if s.n != self.n:
@@ -419,32 +507,19 @@ class DiscreteAction:
         jac[7, 3 * n : 4 * n] = -self.d_last
         return jac
 
-    def hessian(self, s: StateVector) -> np.ndarray:
+    def hessian(self, s: StateVector) -> BandedHessian:
         self._check(s)
-        n = self.n
-        dim = 4 * n + 8
-        hess = np.zeros((dim, dim))
-        offsets = ((0, 2 * n), (n, 3 * n))
-
-        for (t_off, x_off), (sign, t, x) in zip(offsets, self._branches(s)):
+        weights = []
+        for _, t, x in self._branches(s):
             wt = self.m_block @ t + self.shift_t
-            g00 = metric_g00(x, self.cfg)
-            gp = metric_g00_prime(x, self.cfg)
-            gpp = metric_g00_second(x, self.cfg)
-
-            h_tt = sign * ((self.m_block.T * (g00 * self.h)) @ self.m_block)
-            h_xx = sign * (
-                np.diag(0.5 * gpp * self.h * wt * wt)
-                - (self.m_block.T * self.h) @ self.m_block
-            )
-            h_tx = sign * (self.m_block.T * (gp * self.h * wt))
-
-            hess[t_off : t_off + n, t_off : t_off + n] = h_tt
-            hess[x_off : x_off + n, x_off : x_off + n] = h_xx
-            hess[t_off : t_off + n, x_off : x_off + n] = h_tx
-            hess[x_off : x_off + n, t_off : t_off + n] = h_tx.T
-
-        jac = self.constraint_jacobian()
-        hess[4 * n :, : 4 * n] = jac
-        hess[: 4 * n, 4 * n :] = jac.T
-        return hess
+            weights += [
+                metric_g00(x, self.cfg) * self.h,
+                metric_g00_prime(x, self.cfg) * self.h * wt,
+                0.5 * metric_g00_second(x, self.cfg) * self.h * wt * wt,
+            ]
+        weights.append([1.0])
+        values = self._coef * np.concatenate(weights)[self._weight]
+        ab = np.bincount(
+            self._slot, weights=values, minlength=np.prod(self._band_shape)
+        )
+        return BandedHessian(ab.reshape(self._band_shape), self.kl, self.ku, self._order)

@@ -6,8 +6,11 @@ timestamps appear anywhere.  Every run writes a manifest listing the
 emitted files with their SHA-256 checksums.
 
 Exit codes: 0 success, 1 configuration or flag error, 2 solver
-non-convergence, 3 I/O error.  On exit code 2 ``solve`` still writes its
-files, flagged as not converged; ``sweep`` writes none.
+non-convergence or a singular Newton system, 3 I/O error.  On
+non-convergence ``solve`` still writes its files, flagged as not
+converged; on a singular system (a non-finite gradient or Hessian, or a
+system no damping makes solvable) it writes none, as there is no finite
+iterate.  ``sweep`` writes none on exit code 2.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .action import InvalidConfig, ProblemConfig
 from .diagnostics import _csv_text, _fmt, diagnose
 from .reference import convergence_study, scaled_tdot_study
 from .sbp import SIGMA0, build_operator, regularize
-from .solver import NonConvergence, SolveOptions, solve
+from .solver import NonConvergence, SingularSystem, SolveOptions, solve
 
 __all__ = ["main"]
 
@@ -177,6 +180,9 @@ def cmd_solve(args) -> int:
     except NonConvergence as exc:
         sol = exc.solution
         exit_code = 2
+    except SingularSystem as exc:
+        print(f"worldline solve: {exc}", file=sys.stderr)
+        return 2
 
     try:
         sink = _OutputSink.create(args.out)
@@ -288,7 +294,7 @@ def cmd_sweep(args) -> int:
             table = scaled_tdot_study(cfg, n_list, tdot_list, opts=opts)
             rows = list(table.rows)
             fit_payload = {"mode": "scale-tdot", "tdot_i": tdot_list}
-    except NonConvergence as exc:
+    except (NonConvergence, SingularSystem) as exc:
         print(f"worldline sweep: {exc}", file=sys.stderr)
         return 2
     except (InvalidConfig, ValueError) as exc:

@@ -5,6 +5,12 @@ Instead the stationarity system grad E = 0 is solved by Newton's method
 with Levenberg damping, using ||grad E||^2 as the line-search merit: the
 saddle becomes the global minimum of the merit, and every accepted step
 decreases it.
+
+Each Newton system is banded: ``DiscreteAction.hessian`` orders the
+unknowns point by point (bandwidths kl = ku = 10 for sbp21, 20 for sbp42),
+and LAPACK's band LU with partial pivoting, ``dgbsv``, solves it in O(n)
+per factorisation.  A gradient or Hessian that is not finite ends the solve
+with ``SingularSystem`` at once, since no damping can repair it.
 """
 
 from __future__ import annotations
@@ -14,7 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .action import DiscreteAction, InvalidConfig, ProblemConfig, StateVector
+from .action import (
+    BandedHessian,
+    DiscreteAction,
+    InvalidConfig,
+    ProblemConfig,
+    StateVector,
+)
 
 __all__ = [
     "SolveOptions",
@@ -43,7 +55,7 @@ class NonConvergence(RuntimeError):
 
 
 class SingularSystem(RuntimeError):
-    """The Newton system could not be solved even at maximal damping."""
+    """The Newton system is not finite, or not solvable at maximal damping."""
 
 
 @dataclass(frozen=True)
@@ -62,9 +74,10 @@ class SolveOptions:
     ls_decrease: float = 1e-4
 
     def __post_init__(self):
+        # an infinite grad_tol would accept the initial guess as converged
         for name in ("grad_tol", "lm_damping_init"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         # with ls_shrink >= 1 backtracking never falls below _MIN_STEP
         for name in ("ls_shrink", "ls_decrease"):
             if not 0 < getattr(self, name) < 1:
@@ -93,14 +106,22 @@ def initial_guess(cfg: ProblemConfig) -> StateVector:
     return StateVector(t1=t, t2=t.copy(), x1=x, x2=x.copy(), lam=np.zeros(8))
 
 
-def _solve_damped(hess: np.ndarray, grad: np.ndarray, mu: float) -> np.ndarray:
-    a = hess if mu == 0.0 else hess + mu * np.eye(hess.shape[0])
-    step = scipy.linalg.solve(a, -grad, assume_a="sym")
-    if not np.all(np.isfinite(step)):
-        raise np.linalg.LinAlgError("non-finite Newton step")
+def _solve_damped(hess: BandedHessian, grad: np.ndarray, mu: float) -> np.ndarray:
+    ab = hess.ab.copy()
+    ab[hess.kl + hess.ku] += mu
+    _, _, x, info = scipy.linalg.lapack.dgbsv(
+        hess.kl, hess.ku, ab, -grad[hess.order], overwrite_ab=True, overwrite_b=True
+    )
+    if info != 0 or not np.all(np.isfinite(x)):
+        raise np.linalg.LinAlgError("singular or non-finite Newton step")
+    step = np.empty_like(x)
+    step[hess.order] = x
     return step
 
 
+# Overflow and NaN are handled explicitly: the line search rejects a
+# non-finite trial and SingularSystem reports a non-finite system.
+@np.errstate(over="ignore", invalid="ignore")
 def solve(
     cfg: ProblemConfig,
     opts: SolveOptions | None = None,
@@ -110,8 +131,9 @@ def solve(
     """Find the critical point of the discrete action for ``cfg``.
 
     Raises NonConvergence when the iteration cap is hit (the exception
-    carries the best iterate) and SingularSystem when the damped Newton
-    system cannot be factorized at any damping level.
+    carries the best iterate) and SingularSystem when the gradient norm or
+    a Hessian entry is not finite, or the damped Newton system cannot be
+    factorized at any damping level.
     """
     opts = opts or SolveOptions()
     action = DiscreteAction(cfg)
@@ -124,6 +146,8 @@ def solve(
     mu = opts.lm_damping_init
     grad = action.gradient(StateVector.unpack(z, n))
     grad_norm = float(np.linalg.norm(grad))
+    if not np.isfinite(grad_norm):
+        raise SingularSystem(f"gradient norm {grad_norm} at the initial guess")
     history = [grad_norm]
     best_z, best_norm, iterations = z, grad_norm, 0
 
@@ -142,6 +166,8 @@ def solve(
             break
 
         hess = action.hessian(StateVector.unpack(z, n))
+        if not np.all(np.isfinite(hess.ab)):
+            raise SingularSystem(f"non-finite Hessian at iteration {iterations}")
         while True:
             try:
                 step = _solve_damped(hess, grad, mu)

@@ -196,7 +196,7 @@ def test_hessian_symmetric_and_matches_fd():
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=8)
     action = wl.DiscreteAction(cfg)
     s = random_state(cfg, rng)
-    hess = action.hessian(s)
+    hess = np.asarray(action.hessian(s))
     assert np.max(np.abs(hess - hess.T)) <= 1e-12
     assert scaled_max_err(hess, fd_hessian(action, s.pack(), 8)) <= 1e-5
 
@@ -207,7 +207,7 @@ def test_free_hessian_cross_blocks_vanish():
     action = wl.DiscreteAction(cfg)
     s = random_state(cfg, rng)
     n = 8
-    hess = action.hessian(s)
+    hess = np.asarray(action.hessian(s))
     assert np.all(hess[:n, 2 * n : 3 * n] == 0.0)
     assert np.all(hess[n : 2 * n, 3 * n : 4 * n] == 0.0)
 

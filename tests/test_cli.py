@@ -157,6 +157,30 @@ def test_solve_non_convergence_exits_2_with_files(quartic_config, tmp_path):
     assert (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_singular_system_exits_2_without_files(tmp_path, capsys, command):
+    # g00 ~ 2e300 overflows the gradient norm at the initial guess
+    config = tmp_path / "huge.json"
+    config.write_text('{"potential": {"type": "quartic", "kappa": 1e300}, "n_gamma": 16}')
+    out = tmp_path / "o"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if command == "sweep":
+        # the oracle is never reached: the cold solve fails first
+        argv += ["--n-list", "16,32,64", "--scale-tdot", "1,1,1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"worldline {command}: gradient norm inf at the initial guess\n"
+    assert not out.exists()
+
+
+def test_solve_infinite_tolerance_exits_1(quartic_config, tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["solve", "--config", str(quartic_config), "--out", str(out), "--tol", "inf"]
+    assert main(argv) == 1
+    assert "worldline solve: bad configuration: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_io_error_exits_3(linear_config, tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")

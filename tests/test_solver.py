@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import worldline as wl
+from worldline.solver import _solve_damped
 
 
 def test_initial_guess_satisfies_constraints():
@@ -90,6 +91,12 @@ def test_non_convergence_carries_best_iterate():
 def test_solve_options_validation():
     with pytest.raises(ValueError):
         wl.SolveOptions(grad_tol=0.0)
+    # an infinite tolerance would report the initial guess as converged
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            wl.SolveOptions(grad_tol=bad)
+        with pytest.raises(ValueError):
+            wl.SolveOptions(lm_damping_init=bad)
     with pytest.raises(ValueError):
         wl.SolveOptions(max_iter=0)
     # with ls_shrink >= 1 backtracking never gives up; both factors lie in (0, 1)
@@ -102,6 +109,50 @@ def test_solve_options_validation():
         with pytest.raises(ValueError):
             wl.SolveOptions(max_iter=bad)
     wl.SolveOptions(ls_shrink=0.9, ls_decrease=0.5, max_iter=1)
+
+
+def test_non_finite_hessian_raises_without_damping_retries():
+    calls = []
+
+    def d2v(x):
+        calls.append(1)
+        return np.full_like(x, np.nan)
+
+    pot = wl.custom_potential(v=lambda x: 0.1 * x**2, dv=lambda x: 0.2 * x, d2v=d2v)
+    cfg = wl.ProblemConfig(potential=pot, n_gamma=16)
+    with pytest.raises(wl.SingularSystem, match="non-finite Hessian"):
+        wl.solve(cfg)
+    # one Hessian, which evaluates d2v once per branch
+    assert len(calls) == 2
+
+
+def test_non_finite_gradient_norm_raises():
+    cfg = wl.ProblemConfig(potential=wl.quartic_potential(1e300), n_gamma=16)
+    with pytest.raises(wl.SingularSystem, match="gradient norm inf"):
+        wl.solve(cfg)
+
+
+def test_zero_pivot_is_a_linalg_error():
+    # the damping-retry loop in solve catches this and raises mu
+    cfg = wl.ProblemConfig(potential=wl.free_potential(), n_gamma=16)
+    action = wl.DiscreteAction(cfg)
+    s = wl.initial_guess(cfg)
+    hess = action.hessian(s)
+    singular = replace(hess, ab=np.zeros_like(hess.ab))
+    with pytest.raises(np.linalg.LinAlgError):
+        _solve_damped(singular, action.gradient(s), 0.0)
+
+
+@pytest.mark.parametrize("order", ["sbp21", "sbp42"])
+@pytest.mark.parametrize(
+    "potential", [wl.linear_potential(0.25), wl.quartic_potential(0.5)], ids=["linear", "quartic"]
+)
+def test_large_grid_converges_with_charge_at_floor(order, potential):
+    # the band solve keeps n = 512 affordable; 1e-9 is criterion 9b's ceiling
+    cfg = wl.ProblemConfig(potential=potential, n_gamma=512, order=order)
+    sol = wl.solve(cfg, wl.SolveOptions(max_iter=12))
+    assert sol.converged
+    assert wl.diagnose(sol.state, cfg).max_interior_delta_e <= 1e-9
 
 
 def test_guess_dimension_checked():
