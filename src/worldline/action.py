@@ -18,9 +18,10 @@ The discrete action evaluated here is
       - (same with branch 2)
       + lam . constraints
 
-with Dr u = M u + s the regularized SBP derivative (block M, shift s),
-H = diag(h) the quadrature, and the constraint rows built from the
-classical operator D.
+with Dr u = M u + s the regularized SBP derivative, H = diag(h) the
+quadrature, and the constraint rows built from the classical operator D.
+M, D and their transposes are applied from the operators' O(n) stored
+entries, so no n x n matrix is formed.
 
 The Hessian is a saddle-point matrix with a few nonzeros per row.  With the
 unknowns ordered as lam_1..lam_4, then (t1, t2, x1, x2) at each grid point,
@@ -336,11 +337,11 @@ class BandedHessian:
 class DiscreteAction:
     """Evaluator for the discrete action, its gradient, and its Hessian.
 
-    Operators and the band pattern of the Hessian are assembled once at
-    construction.  The initial-data targets of the multiplier constraints
-    are kept as plain attributes, separate from the shift absorbed into the
-    regularized operators, so the two roles of the initial values can be
-    probed independently.
+    Operators, the 8 x 4n constraint Jacobian and the band pattern of the
+    Hessian are assembled once at construction.  The initial-data targets
+    of the multiplier constraints are kept as plain attributes, separate
+    from the shift absorbed into the regularized operators, so the two roles
+    of the initial values can be probed independently.
     """
 
     def __init__(self, cfg: ProblemConfig):
@@ -349,18 +350,13 @@ class DiscreteAction:
         self.op = cfg.build_operator()
         self.reg_t = regularize(self.op, cfg.t_i)
         self.reg_x = regularize(self.op, cfg.x_i)
-        # the block is shared; only the shift differs
-        self.m_block = self.reg_t.m_block
-        self.shift_t = self.reg_t.shift
-        self.shift_x = self.reg_x.shift
         self.h = self.op.h
-        self.d_first = self.op.d[0]
-        self.d_last = self.op.d[-1]
         # constraint targets for lam_1..lam_4
         self.t_init = cfg.t_i
         self.tdot_init = cfg.tdot_i
         self.x_init = cfg.x_i
         self.xdot_init = cfg.xdot_i
+        self._jac = self.constraint_jacobian()
         self._band_pattern()
 
     def _band_pattern(self) -> None:
@@ -384,11 +380,10 @@ class DiscreteAction:
         terms = []  # (row, col, coefficient, weight index) arrays
 
         # Each ordered pair (a, b) of nonzeros in one row k of M gives the
-        # term M[k, i_a] w_k M[k, i_b] of M^T diag(w) M.  The flat scan lists
-        # them row by row; on a boolean mask it is several times faster
-        # than np.nonzero on the float matrix.
-        k, i = np.divmod(np.flatnonzero(self.m_block != 0), n)
-        m = self.m_block[k, i]
+        # term M[k, i_a] w_k M[k, i_b] of M^T diag(w) M.  The entries are
+        # listed row by row, so the pairs are too.
+        nonzero = self.reg_t.vals != 0
+        k, i, m = self.op.rows[nonzero], self.op.cols[nonzero], self.reg_t.vals[nonzero]
         first = np.searchsorted(k, k)
         count = np.searchsorted(k, k, side="right") - first
         a = np.repeat(np.arange(k.size), count)
@@ -407,10 +402,10 @@ class DiscreteAction:
                 (xb[k], tb[i], sign * m, gpw + k),
             ]
 
-        jac = self.constraint_jacobian()
-        r, c = np.nonzero(jac)
+        r, c = np.nonzero(self._jac)
         lam, coord, weight = pos[4 * n + r], pos[c], np.full(r.size, const)
-        terms += [(lam, coord, jac[r, c], weight), (coord, lam, jac[r, c], weight)]
+        jr = self._jac[r, c]
+        terms += [(lam, coord, jr, weight), (coord, lam, jr, weight)]
 
         rows, cols, self._coef, self._weight = map(np.concatenate, zip(*terms))
         self.kl = int(np.max(rows - cols))
@@ -432,16 +427,19 @@ class DiscreteAction:
     def constraints(self, s: StateVector) -> np.ndarray:
         """The eight multiplier residuals, in order lam_1..lam_8."""
         self._check(s)
+        # rows 0 and n-1 of D; each residual takes its own dot products, so
+        # (D t1)[-1] - (D t2)[-1] rounds as a difference of two end values
+        d_first, d_last = self._jac[1, : self.n], self._jac[6, : self.n]
         return np.array(
             [
                 s.t1[0] - self.t_init,
-                self.d_first @ s.t1 - self.tdot_init,
+                d_first @ s.t1 - self.tdot_init,
                 s.x1[0] - self.x_init,
-                self.d_first @ s.x1 - self.xdot_init,
+                d_first @ s.x1 - self.xdot_init,
                 s.t1[-1] - s.t2[-1],
                 s.x1[-1] - s.x2[-1],
-                self.d_last @ s.t1 - self.d_last @ s.t2,
-                self.d_last @ s.x1 - self.d_last @ s.x2,
+                d_last @ s.t1 - d_last @ s.t2,
+                d_last @ s.x1 - d_last @ s.x2,
             ]
         )
 
@@ -449,8 +447,8 @@ class DiscreteAction:
         self._check(s)
         total = 0.0
         for sign, t, x in self._branches(s):
-            wt = self.m_block @ t + self.shift_t
-            wx = self.m_block @ x + self.shift_x
+            wt = self.reg_t.apply(t)
+            wx = self.reg_x.apply(x)
             g00 = metric_g00(x, self.cfg)
             total += 0.5 * sign * (
                 np.dot(g00 * self.h, wt * wt) - np.dot(self.h, wx * wx)
@@ -459,59 +457,38 @@ class DiscreteAction:
 
     def gradient(self, s: StateVector) -> np.ndarray:
         self._check(s)
-        coord_grads = []
-        for sign, t, x in self._branches(s):
-            wt = self.m_block @ t + self.shift_t
-            wx = self.m_block @ x + self.shift_x
+        grad = np.empty((4, self.n))  # t1, t2, x1, x2
+        for b, (sign, t, x) in enumerate(self._branches(s)):
+            wt = self.reg_t.apply(t)
+            wx = self.reg_x.apply(x)
             g00 = metric_g00(x, self.cfg)
             gp = metric_g00_prime(x, self.cfg)
-            grad_t = sign * (self.m_block.T @ (g00 * self.h * wt))
-            grad_x = sign * (
-                0.5 * gp * self.h * wt * wt
-                - self.m_block.T @ (self.h * wx)
+            grad[b] = sign * self.reg_t.apply_t(g00 * self.h * wt)
+            grad[2 + b] = sign * (
+                0.5 * gp * self.h * wt * wt - self.reg_x.apply_t(self.h * wx)
             )
-            coord_grads.append((grad_t, grad_x))
 
-        (gt1, gx1), (gt2, gx2) = coord_grads
-        lam = s.lam
-        gt1[0] += lam[0]
-        gt1 += lam[1] * self.d_first
-        gx1[0] += lam[2]
-        gx1 += lam[3] * self.d_first
-        gt1[-1] += lam[4]
-        gt2[-1] -= lam[4]
-        gx1[-1] += lam[5]
-        gx2[-1] -= lam[5]
-        gt1 += lam[6] * self.d_last
-        gt2 -= lam[6] * self.d_last
-        gx1 += lam[7] * self.d_last
-        gx2 -= lam[7] * self.d_last
-
-        return np.concatenate([gt1, gt2, gx1, gx2, self.constraints(s)])
+        coord_grad = grad.ravel() + self._jac.T @ s.lam
+        return np.concatenate([coord_grad, self.constraints(s)])
 
     def constraint_jacobian(self) -> np.ndarray:
         """8 x 4n Jacobian of the constraints w.r.t. the coordinate blocks."""
         n = self.n
-        jac = np.zeros((8, 4 * n))
-        jac[0, 0] = 1.0
-        jac[1, :n] = self.d_first
-        jac[2, 2 * n] = 1.0
-        jac[3, 2 * n : 3 * n] = self.d_first
-        jac[4, n - 1] = 1.0
-        jac[4, 2 * n - 1] = -1.0
-        jac[5, 3 * n - 1] = 1.0
-        jac[5, 4 * n - 1] = -1.0
-        jac[6, :n] = self.d_last
-        jac[6, n : 2 * n] = -self.d_last
-        jac[7, 2 * n : 3 * n] = self.d_last
-        jac[7, 3 * n : 4 * n] = -self.d_last
-        return jac
+        # rows 0 and n-1 of D, as D^T e_0 and D^T e_{n-1}
+        d_first, d_last = (self.op.apply_t(np.eye(1, n, k)[0]) for k in (0, n - 1))
+        jac = np.zeros((8, 4, n))  # constraint, coordinate block, grid point
+        jac[0, 0, 0] = jac[2, 2, 0] = jac[4, 0, -1] = jac[5, 2, -1] = 1.0
+        jac[4, 1, -1] = jac[5, 3, -1] = -1.0
+        jac[1, 0] = jac[3, 2] = d_first
+        jac[6, 0] = jac[7, 2] = d_last
+        jac[6, 1] = jac[7, 3] = -d_last
+        return jac.reshape(8, 4 * n)
 
     def hessian(self, s: StateVector) -> BandedHessian:
         self._check(s)
         weights = []
         for _, t, x in self._branches(s):
-            wt = self.m_block @ t + self.shift_t
+            wt = self.reg_t.apply(t)
             weights += [
                 metric_g00(x, self.cfg) * self.h,
                 metric_g00_prime(x, self.cfg) * self.h * wt,

@@ -6,11 +6,12 @@ timestamps appear anywhere.  Every run writes a manifest listing the
 emitted files with their SHA-256 checksums.
 
 Exit codes: 0 success, 1 configuration or flag error, 2 solver
-non-convergence or a singular Newton system, 3 I/O error.  On
-non-convergence ``solve`` still writes its files, flagged as not
-converged; on a singular system (a non-finite gradient or Hessian, or a
-system no damping makes solvable) it writes none, as there is no finite
-iterate.  ``sweep`` writes none on exit code 2.
+non-convergence, a singular Newton system, or a failed reference
+integration in ``sweep``, 3 I/O error.  On non-convergence ``solve``
+still writes its files, flagged as not converged; on a singular system (a
+non-finite gradient or Hessian, or a system no damping makes solvable) it
+writes none, as there is no finite iterate.  ``sweep`` writes none on exit
+code 2.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .action import InvalidConfig, ProblemConfig
 from .diagnostics import _csv_text, _fmt, diagnose
-from .reference import convergence_study, scaled_tdot_study
+from .reference import StepFailure, convergence_study, scaled_tdot_study
 from .sbp import SIGMA0, build_operator, regularize
 from .solver import NonConvergence, SingularSystem, SolveOptions, solve
 
@@ -294,7 +295,7 @@ def cmd_sweep(args) -> int:
             table = scaled_tdot_study(cfg, n_list, tdot_list, opts=opts)
             rows = list(table.rows)
             fit_payload = {"mode": "scale-tdot", "tdot_i": tdot_list}
-    except (NonConvergence, SingularSystem) as exc:
+    except (NonConvergence, SingularSystem, StepFailure) as exc:
         print(f"worldline sweep: {exc}", file=sys.stderr)
         return 2
     except (InvalidConfig, ValueError) as exc:

@@ -70,16 +70,15 @@ class _Trajectory:
         op = cfg.build_operator()
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        return cls(cfg, op, t, x, op.d @ t, op.d @ x, metric_g00(x, cfg))
+        return cls(cfg, op, t, x, op.apply(t), op.apply(x), metric_g00(x, cfg))
 
     def charge(self) -> np.ndarray:
         return self.dt * self.g00
 
     def geodesic_residuals(self):
-        d = self.op.d
-        dg_t = d @ (self.g00 * self.dt)
+        dg_t = self.op.apply(self.g00 * self.dt)
         gp = metric_g00_prime(self.x, self.cfg)
-        dg_x = d @ self.dx + 0.5 * gp * self.dt * self.dt
+        dg_x = self.op.apply(self.dx) + 0.5 * gp * self.dt * self.dt
         return dg_t, dg_x
 
     def free_case_charges(self):

@@ -280,3 +280,20 @@ def test_exchange_antisymmetry():
     swapped = wl.StateVector(t1=s.t2, t2=s.t1, x1=s.x2, x2=s.x1, lam=np.zeros(8))
     action = wl.DiscreteAction(cfg)
     assert action.value(swapped) == pytest.approx(-action.value(plain), abs=1e-13)
+
+
+@pytest.mark.parametrize("order", ["sbp21", "sbp42"])
+def test_large_grid_stores_only_linear_size_arrays(order):
+    n = 4096
+    cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=n, order=order)
+    action = wl.DiscreteAction(cfg)
+    s = wl.initial_guess(cfg)
+    assert np.all(np.isfinite(action.gradient(s)))
+    hess = action.hessian(s)
+    assert np.all(np.isfinite(hess.ab))
+    assert (hess.kl, hess.ku) == {"sbp21": (10, 10), "sbp42": (20, 20)}[order]
+    # the largest are the Hessian band pattern's per-term arrays, about 82 n
+    # entries for sbp42; an n x n operator would hold 4096 n
+    held = [action, action.op, action.reg_t, action.reg_x]
+    sizes = [a.size for obj in held for a in vars(obj).values() if isinstance(a, np.ndarray)]
+    assert max(sizes) <= 128 * n

@@ -173,6 +173,21 @@ def test_singular_system_exits_2_without_files(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_sweep_oracle_failure_exits_2_without_files(tmp_path, capsys):
+    # a refinement sweep runs the reference integrator before any solve, and
+    # its step size collapses in the huge metric
+    config = tmp_path / "huge.json"
+    config.write_text('{"potential": {"type": "quartic", "kappa": 1e300}, "n_gamma": 16}')
+    out = tmp_path / "o"
+    argv = ["sweep", "--config", str(config), "--out", str(out), "--n-list", "8,16,32"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(
+        "worldline sweep: Required step size is less than spacing between numbers.\n"
+    )
+    assert not out.exists()
+
+
 def test_solve_infinite_tolerance_exits_1(quartic_config, tmp_path, capsys):
     out = tmp_path / "o"
     argv = ["solve", "--config", str(quartic_config), "--out", str(out), "--tol", "inf"]

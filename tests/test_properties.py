@@ -65,11 +65,13 @@ def test_action_invariant_under_time_shift(family, n_offset, potential, shift, s
 
 def dense_hessian(action, s):
     """The Hessian in pack order, written out block by block."""
-    n, m, h, cfg = action.n, action.m_block, action.h, action.cfg
+    n, h, cfg = action.n, action.h, action.cfg
+    dbar = action.reg_t.dbar
+    m, shift = dbar[:n, :n], dbar[:n, n]
     hess = np.zeros((4 * n + 8, 4 * n + 8))
     branches = ((1.0, s.t1, s.x1, 0, 2 * n), (-1.0, s.t2, s.x2, n, 3 * n))
     for sign, t, x, t_off, x_off in branches:
-        wt = m @ t + action.shift_t
+        wt = m @ t + shift
         g00 = metric_g00(x, cfg)
         gp = metric_g00_prime(x, cfg)
         gpp = metric_g00_second(x, cfg)
@@ -89,6 +91,33 @@ def dense_hessian(action, s):
 grids = families.flatmap(
     lambda f: st.tuples(st.just(f), st.integers(min_value=MIN_POINTS[f], max_value=64))
 )
+
+
+@given(
+    grid=grids,
+    dgamma=st.floats(min_value=1e-3, max_value=10.0),
+    init_value=st.floats(min_value=-10.0, max_value=10.0),
+    seed=seeds,
+)
+def test_stored_entries_match_the_dense_views(grid, dgamma, init_value, seed):
+    family, n = grid
+    op = wl.build_operator(family, n, dgamma)
+    reg = wl.regularize(op, init_value)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n)
+    v = rng.standard_normal(n)
+    u1 = np.append(u, 1.0)
+    d, dbar = op.d, reg.dbar
+    m = dbar[:n, :n]
+
+    # each product sums a few terms; compare against the size of those terms
+    def close(got, want, scale):
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    close(op.apply(u), d @ u, np.abs(d) @ np.abs(u))
+    close(op.apply_t(v), d.T @ v, np.abs(d.T) @ np.abs(v))
+    close(reg.apply(u), (dbar @ u1)[:-1], (np.abs(dbar) @ np.abs(u1))[:-1])
+    close(reg.apply_t(v), m.T @ v, np.abs(m.T) @ np.abs(v))
 
 
 @given(
