@@ -17,6 +17,7 @@ code 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -59,6 +60,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so build it once
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="worldline",
@@ -348,8 +350,7 @@ def cmd_dump_operator(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     return args.func(args)
 
 

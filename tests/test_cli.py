@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -181,8 +184,8 @@ def test_sweep_oracle_failure_exits_2_without_files(tmp_path, capsys):
     out = tmp_path / "o"
     argv = ["sweep", "--config", str(config), "--out", str(out), "--n-list", "8,16,32"]
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.endswith(
+    # the blow-up is reported once, without numpy overflow warnings before it
+    assert capsys.readouterr().err == (
         "worldline sweep: Required step size is less than spacing between numbers.\n"
     )
     assert not out.exists()
@@ -355,3 +358,48 @@ def test_help_documents_csv_schemas(capsys):
     text = capsys.readouterr().out
     assert "gamma,t1,t2,x1,x2" in text
     assert "delta_g_t" in text
+
+
+def test_repeated_main_matches_fresh_processes(quartic_config, tmp_path):
+    # one process runs main several times on the parser it built once; every
+    # run must behave as it does in an interpreter of its own
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    runs = [
+        (["solve", "--config", str(quartic_config), "--max-iter", "many"], None),
+        (["solve", "--config", str(quartic_config), "--out", str(tmp_path / "s")], "s"),
+        (
+            ["sweep", "--config", str(quartic_config), "--n-list", "8,16,32",
+             "--out", str(tmp_path / "w")],
+            "w",
+        ),
+    ]
+
+    def files(name):
+        return {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+
+    fresh = []
+    for argv, name in runs:
+        result = subprocess.run(
+            [sys.executable, "-m", "worldline.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            timeout=120,
+        )
+        fresh.append((result.returncode, files(name) if name else None))
+        if name:
+            for p in (tmp_path / name).iterdir():
+                p.unlink()
+    assert [code for code, _ in fresh] == [1, 0, 0]
+
+    def in_process(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse exits on flag errors
+            return exc.code
+
+    for _ in range(2):
+        for (argv, name), (code, expected) in zip(runs, fresh):
+            assert in_process(argv) == code
+            if name:
+                assert files(name) == expected

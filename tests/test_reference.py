@@ -43,6 +43,48 @@ def test_oracle_self_consistency(quartic_cfg):
     assert abs(float(a.x(1.0)) - float(b.x(1.0))) < 1e-10
 
 
+def _tight_geodesic(cfg):
+    # an independent, much tighter and step-capped run of the same system
+    from scipy.integrate import solve_ivp
+
+    from worldline.reference import _geodesic_rhs
+
+    span = (cfg.gamma_i, cfg.gamma_f)
+    return solve_ivp(
+        _geodesic_rhs(cfg), span, (cfg.t_i, cfg.tdot_i, cfg.x_i, cfg.xdot_i),
+        method="DOP853", rtol=2.5e-14, atol=1e-15,
+        max_step=(span[1] - span[0]) / 4096, dense_output=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg_fixture, tdot",
+    [
+        ("linear_cfg", 1.0),
+        ("linear_cfg", 4.0),
+        ("quartic_cfg", 1.0),
+        ("quartic_cfg", 4.0),
+        ("quartic_cfg", 8.0),
+    ],
+)
+def test_oracle_dense_output_error(cfg_fixture, tdot, request):
+    base = request.getfixturevalue(cfg_fixture)
+    cfg = replace(base, tdot_i=tdot, xdot_i=base.v_init * tdot)
+    gamma = np.linspace(cfg.gamma_i, cfg.gamma_f, 257)
+    t_ref, _, x_ref, _ = _tight_geodesic(cfg).sol(gamma)
+    # 1e-14 is the tolerance the convergence studies run their oracle at
+    for tol, bound in ((1e-12, 5e-11), (1e-14, 1e-12)):
+        traj = wl.solve_geodesic_ode(cfg, tol)
+        assert np.max(np.abs(traj.t(gamma) - t_ref)) <= bound
+        assert np.max(np.abs(traj.x(gamma) - x_ref)) <= bound
+
+
+def test_oracle_step_count_set_by_tolerance(quartic_cfg):
+    # a step cap of span/512 would force at least 512 steps here
+    traj = wl.solve_geodesic_ode(quartic_cfg, 1e-12)
+    assert len(traj.gamma_samples) < 64
+
+
 def test_tolerance_range_enforced(free_cfg):
     with pytest.raises(ValueError):
         wl.solve_geodesic_ode(free_cfg, 1e-15)
