@@ -11,6 +11,17 @@ unknowns point by point (bandwidths kl = ku = 10 for sbp21, 20 for sbp42),
 and LAPACK's band LU with partial pivoting, ``dgbsv``, solves it in O(n)
 per factorisation.  A gradient or Hessian that is not finite ends the solve
 with ``SingularSystem`` at once, since no damping can repair it.
+
+The solve stops on one of two tests.  The gradient test passes once
+||grad||_2 <= grad_tol * (1 + ||z||_inf) (``termination == "converged"``).
+At large n the gradient's rounding floor can lie above that bound, so the
+solve also stops at the floor (``termination == "roundoff_floor"``): when
+a nearly undamped step (mu <= lm_damping_init) is tiny,
+||dz||_inf <= sqrt(eps) * (1 + ||z||_inf), and the full step still fails
+the Armijo test, the full-step iterate is returned.  In the quadratic
+region such a step leaves an error of about eps, so a full step that
+cannot lower the merit means the gradient is rounding noise
+(Dennis & Schnabel, ch. 7).  Both count as converged.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ __all__ = [
 
 _MAX_DAMPING = 1e12
 _MIN_STEP = 1e-14
+_SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 class NonConvergence(RuntimeError):
@@ -64,7 +76,12 @@ class SolveOptions:
 
     ``grad_tol`` is a relative factor: the solve stops once
     ||grad||_2 <= grad_tol * (1 + ||state||_inf), which keeps refinement
-    sweeps comparable as operator norms grow with the grid.
+    sweeps comparable as operator norms grow with the grid.  A solve whose
+    gradient floor lies above that bound stops at the floor instead: once a
+    step damped by at most ``lm_damping_init`` is below
+    sqrt(eps) * (1 + ||state||_inf) and its full length fails the Armijo
+    test, the full-step iterate is returned with
+    ``termination == "roundoff_floor"``.
     """
 
     grad_tol: float = 1e-12
@@ -88,7 +105,15 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class Solution:
-    """Result of a critical-point search."""
+    """Result of a critical-point search.
+
+    ``termination`` says why a converged solve stopped: ``"converged"``
+    when the gradient test passed, ``"roundoff_floor"`` when the step test
+    at the rounding floor did.  In the latter case the last entry of
+    ``grad_history`` is the floor iterate's gradient norm, which need not
+    be below the one before it.  The best iterate carried by
+    ``NonConvergence`` has ``"max_iter"`` or ``"max_damping"``.
+    """
 
     state: StateVector
     gamma: np.ndarray
@@ -96,6 +121,7 @@ class Solution:
     iterations: int
     converged: bool
     grad_history: tuple = field(default=(), repr=False)
+    termination: str = "converged"
 
 
 def initial_guess(cfg: ProblemConfig) -> StateVector:
@@ -151,17 +177,21 @@ def solve(
     history = [grad_norm]
     best_z, best_norm, iterations = z, grad_norm, 0
 
+    def result(z, grad_norm, iterations, converged, termination="converged"):
+        return Solution(
+            state=StateVector.unpack(z, n),
+            gamma=cfg.gamma_grid,
+            grad_norm=grad_norm,
+            iterations=iterations,
+            converged=converged,
+            grad_history=tuple(history),
+            termination=termination,
+        )
+
     for iterations in range(opts.max_iter + 1):
-        tol = opts.grad_tol * (1.0 + float(np.max(np.abs(z))))
-        if grad_norm <= tol:
-            return Solution(
-                state=StateVector.unpack(z, n),
-                gamma=cfg.gamma_grid,
-                grad_norm=grad_norm,
-                iterations=iterations,
-                converged=True,
-                grad_history=tuple(history),
-            )
+        z_scale = 1.0 + float(np.max(np.abs(z)))
+        if grad_norm <= opts.grad_tol * z_scale:
+            return result(z, grad_norm, iterations, True)
         if iterations == opts.max_iter:
             break
 
@@ -178,6 +208,10 @@ def solve(
                     raise SingularSystem(
                         f"Newton system singular at damping {mu:.1e}"
                     ) from None
+        at_floor = (
+            mu <= opts.lm_damping_init
+            and float(np.max(np.abs(step))) <= _SQRT_EPS * z_scale
+        )
 
         # backtracking on the squared gradient norm
         merit = grad_norm ** 2
@@ -190,6 +224,10 @@ def solve(
             if norm_trial ** 2 <= (1.0 - opts.ls_decrease * alpha) * merit:
                 accepted = True
                 break
+            if at_floor and np.isfinite(norm_trial):
+                # a tiny full step that cannot lower the merit: rounding floor
+                history.append(norm_trial)
+                return result(z_trial, norm_trial, iterations + 1, True, "roundoff_floor")
             alpha *= opts.ls_shrink
 
         if accepted:
@@ -204,16 +242,8 @@ def solve(
             if mu > _MAX_DAMPING:
                 break
 
-    raise NonConvergence(
-        Solution(
-            state=StateVector.unpack(best_z, n),
-            gamma=cfg.gamma_grid,
-            grad_norm=best_norm,
-            iterations=iterations,
-            converged=False,
-            grad_history=tuple(history),
-        )
-    )
+    stop = "max_damping" if mu > _MAX_DAMPING else "max_iter"
+    raise NonConvergence(result(best_z, best_norm, iterations, False, stop))
 
 
 def continuation_solve(

@@ -160,6 +160,26 @@ def test_solve_non_convergence_exits_2_with_files(quartic_config, tmp_path):
     assert (out / "trajectory.csv").exists()
 
 
+def test_solve_large_grid_stops_at_roundoff_floor(tmp_path):
+    # the gradient floor at n = 2048 lies above the default tolerance
+    config = tmp_path / "large.json"
+    config.write_text(
+        json.dumps(
+            {
+                "n_gamma": 2048,
+                "order": "sbp42",
+                "potential": {"type": "linear", "alpha": 0.25},
+            }
+        )
+    )
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is True
+    assert summary["iterations"] <= 10
+    assert summary["max_interior_delta_e"] <= 1e-9
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 def test_singular_system_exits_2_without_files(tmp_path, capsys, command):
     # g00 ~ 2e300 overflows the gradient norm at the initial guess

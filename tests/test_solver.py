@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import worldline as wl
-from worldline.solver import _solve_damped
+from worldline.solver import _SQRT_EPS, _solve_damped
+
+FAMILIES = pytest.mark.parametrize("order", ["sbp21", "sbp42"])
+POTENTIALS = pytest.mark.parametrize(
+    "potential", [wl.linear_potential(0.25), wl.quartic_potential(0.5)], ids=["linear", "quartic"]
+)
 
 
 def test_initial_guess_satisfies_constraints():
@@ -72,6 +77,7 @@ def test_solve_deterministic():
 
 
 def test_converged_flag_respects_tolerance(quartic_solution):
+    assert quartic_solution.termination == "converged"
     z = quartic_solution.state.pack()
     tol = wl.SolveOptions().grad_tol * (1 + np.max(np.abs(z)))
     assert quartic_solution.grad_norm <= tol
@@ -84,6 +90,7 @@ def test_non_convergence_carries_best_iterate():
         wl.solve(cfg, opts)
     best = err.value.solution
     assert not best.converged
+    assert best.termination == "max_iter"
     assert best.grad_norm > 0
     assert best.state.n == 32
 
@@ -143,16 +150,56 @@ def test_zero_pivot_is_a_linalg_error():
         _solve_damped(singular, action.gradient(s), 0.0)
 
 
-@pytest.mark.parametrize("order", ["sbp21", "sbp42"])
-@pytest.mark.parametrize(
-    "potential", [wl.linear_potential(0.25), wl.quartic_potential(0.5)], ids=["linear", "quartic"]
-)
+@FAMILIES
+@POTENTIALS
 def test_large_grid_converges_with_charge_at_floor(order, potential):
     # the band solve keeps n = 512 affordable; 1e-9 is criterion 9b's ceiling
     cfg = wl.ProblemConfig(potential=potential, n_gamma=512, order=order)
     sol = wl.solve(cfg, wl.SolveOptions(max_iter=12))
     assert sol.converged
     assert wl.diagnose(sol.state, cfg).max_interior_delta_e <= 1e-9
+
+
+@pytest.mark.parametrize("n, max_iterations", [(1024, 10), (2048, 10), (4096, 12)])
+@FAMILIES
+@POTENTIALS
+def test_huge_grid_terminates_at_roundoff_floor(n, max_iterations, order, potential):
+    # from n = 1024 the gradient floor can lie above grad_tol; the step test stops there
+    cfg = wl.ProblemConfig(potential=potential, n_gamma=n, order=order)
+    sol = wl.solve(cfg)
+    assert sol.converged
+    assert sol.termination in ("converged", "roundoff_floor")
+    assert sol.iterations <= max_iterations
+    assert len(sol.grad_history) == sol.iterations + 1
+    assert wl.diagnose(sol.state, cfg).max_interior_delta_e <= 1e-9
+
+
+def test_roundoff_floor_is_a_newton_fixed_point():
+    cfg = wl.ProblemConfig(potential=wl.linear_potential(0.25), n_gamma=1024, order="sbp42")
+    sol = wl.solve(cfg)
+    assert sol.termination == "roundoff_floor"
+    # one more undamped Newton step from the returned state moves it by rounding only
+    action = wl.DiscreteAction(cfg)
+    step = _solve_damped(action.hessian(sol.state), action.gradient(sol.state), 0.0)
+    z = sol.state.pack()
+    assert np.max(np.abs(step)) <= _SQRT_EPS * (1.0 + np.max(np.abs(z)))
+
+
+def test_roundoff_floor_stops_without_backtracking(monkeypatch):
+    # without the floor test every later iteration backtracks ~47 gradients
+    # down to the minimum step and the solve runs out of iterations
+    calls = []
+    gradient = wl.DiscreteAction.gradient
+
+    def counted(self, state):
+        calls.append(1)
+        return gradient(self, state)
+
+    monkeypatch.setattr(wl.DiscreteAction, "gradient", counted)
+    cfg = wl.ProblemConfig(potential=wl.linear_potential(0.25), n_gamma=1024, order="sbp42")
+    sol = wl.solve(cfg)
+    assert sol.termination == "roundoff_floor"
+    assert len(calls) <= sol.iterations + 3
 
 
 def test_guess_dimension_checked():
