@@ -35,7 +35,7 @@ for n in (16, 32, 64):
     prev = sol_n
 print()
 
-print("longer trajectories via larger tdot_i (warm-started continuation):")
+print("longer trajectories via larger tdot_i (cold solves from a geodesic seed):")
 table = wl.scaled_tdot_study(cfg, [16, 32, 64], [1.0, 4.0, 8.0])
 for row, tdot in zip(table.rows, (1, 4, 8)):
     print(f"  tdot_i = {tdot}, n = {row.n_gamma:3d}: "

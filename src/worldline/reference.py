@@ -17,14 +17,15 @@ sets the step count, and read positions from its 7th-order dense output
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import OdeSolution, solve_ivp
 
-from .action import ProblemConfig, metric_g00, metric_g00_prime
+from .action import ProblemConfig, StateVector, metric_g00, metric_g00_prime
 from .diagnostics import diagnose
-from .solver import NonConvergence, SolveOptions, Solution, continuation_solve, solve
+from .solver import SolveOptions, Solution, continuation_solve, initial_guess, solve
 
 __all__ = [
     "StepFailure",
@@ -237,19 +238,14 @@ class ConvergenceTable:
         return fits
 
 
-def _row_from_solution(cfg, oracle, sol: Solution) -> ConvergenceRow:
-    # one pass over the dense-output segments yields both t and x
-    t_ref, _, x_ref, _ = oracle._dense(cfg.gamma_grid)
+def _row_from_solution(cfg, sol: Solution, oracle, oracle_gamma) -> ConvergenceRow:
+    # oracle_gamma: the oracle's parameter at each grid point; one pass over
+    # the dense-output segments yields both t and x
+    t_ref, _, x_ref, _ = oracle._dense(oracle_gamma)
     report = diagnose(sol.state, cfg, (t_ref, x_ref))
+    measures = (*_ERROR_COLUMNS, "delta_e_end", "max_interior_delta_e")
     return ConvergenceRow(
-        n_gamma=cfg.n_gamma,
-        dgamma=cfg.dgamma,
-        eps_final_x=report.eps_final_x,
-        eps_final_t=report.eps_final_t,
-        eps_l2_x=report.eps_l2_x,
-        eps_l2_t=report.eps_l2_t,
-        delta_e_end=report.delta_e_end,
-        max_interior_delta_e=report.max_interior_delta_e,
+        cfg.n_gamma, cfg.dgamma, *(getattr(report, name) for name in measures)
     )
 
 
@@ -279,39 +275,47 @@ def convergence_study(
     configs = [replace(cfg, n_gamma=n) for n in n_list]
 
     base = solve(configs[0], opts)
-    rows = [_row_from_solution(configs[0], oracle, base)]
+    rows = [_row_from_solution(configs[0], base, oracle, configs[0].gamma_grid)]
 
     for c in configs[1:]:
-        rows.append(_row_from_solution(c, oracle, continuation_solve(c, opts, base)))
+        sol = continuation_solve(c, opts, base)
+        rows.append(_row_from_solution(c, sol, oracle, c.gamma_grid))
     return ConvergenceTable(rows=tuple(rows))
 
 
-def _tdot_ladder_solve(cfg: ProblemConfig, opts) -> Solution:
-    """Reach a large tdot_i by warm-started continuation from tdot_i = 1.
+def _geodesic_seed(cfg: ProblemConfig) -> StateVector:
+    """Newton guess: fixed-step RK4 of the geodesic system on the gamma grid.
 
-    Large tdot_i stretches the simulated time window, so the straight-line
-    guess is far from the curved solution and cold Newton stalls; ramping
-    tdot_i keeps each solve in the previous one's basin.  The physical
-    initial velocity xdot_i/tdot_i is held fixed along the ramp.
+    Every cell takes the same whole number of sub-steps, at least
+    4 tdot_i (gamma_f - gamma_i) in all, so a sub-step spans at most about
+    a quarter time unit however far tdot_i stretches the window.  Reaching
+    g00 <= 0 raises StepFailure; an overflowing path falls back to the
+    straight line, whose cold solve then reports the failure.
     """
-    v_init = cfg.v_init
-    target = cfg.tdot_i
-    tdot = min(1.0, target)
-    sol = solve(replace(cfg, tdot_i=tdot, xdot_i=v_init * tdot), opts)
-    while tdot < target:
-        step = 2.0
-        while True:
-            tdot_next = min(tdot * step, target)
-            trial = replace(cfg, tdot_i=tdot_next, xdot_i=v_init * tdot_next)
-            try:
-                sol = continuation_solve(trial, opts, sol)
-                tdot = tdot_next
-                break
-            except NonConvergence:
-                step = np.sqrt(step)
-                if step < 1.01:
-                    raise
-    return sol
+    n, rhs = cfg.n_gamma, _geodesic_rhs(cfg)
+    sub = math.ceil(4.0 * cfg.tdot_i * (cfg.gamma_f - cfg.gamma_i) / (n - 1))
+    h = cfg.dgamma / sub
+    y = np.array((cfg.t_i, cfg.tdot_i, cfg.x_i, cfg.xdot_i))
+    path = np.empty((n, 4))
+    path[0] = y
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(1, n):
+            for _ in range(sub):
+                k1 = np.array(rhs(None, y))
+                k2 = np.array(rhs(None, y + 0.5 * h * k1))
+                k3 = np.array(rhs(None, y + 0.5 * h * k2))
+                k4 = np.array(rhs(None, y + h * k3))
+                y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+                if metric_g00(y[2], cfg) <= 0:
+                    raise StepFailure(
+                        "the trajectory reaches g00 <= 0 near gamma = "
+                        f"{cfg.gamma_i + k * cfg.dgamma:.3g}"
+                    )
+            if not np.all(np.isfinite(y)):
+                return initial_guess(cfg)
+            path[k] = y
+    t, x = path[:, 0], path[:, 2]
+    return StateVector(t1=t, t2=t.copy(), x1=x, x2=x.copy(), lam=np.zeros(8))
 
 
 def scaled_tdot_study(
@@ -322,20 +326,31 @@ def scaled_tdot_study(
     opts: SolveOptions | None = None,
     tol: float = 1e-14,
 ) -> ConvergenceTable:
-    """One run per (n_gamma, tdot_i) pair, each against its own oracle.
+    """One run per (n_gamma, tdot_i) pair, all against one stretched oracle.
 
     Raising tdot_i extends the simulated time window, so the rows probe
     how the endpoint charge deviation behaves on longer trajectories; no
-    common convergence exponent exists across them.
+    common convergence exponent exists across them.  Each row is solved
+    cold from its geodesic seed.  The geodesic equations are invariant
+    under gamma -> gamma_i + s (gamma - gamma_i), so the row with
+    tdot_i = s is the tdot_i = 1 run stretched by s: one tdot_i = 1 oracle
+    over max(tdot_list) windows serves every row.  It runs after the
+    solves, so a row that cannot be solved is reported first.
     """
-    if len(n_list) != len(tdot_list):
-        raise ValueError("n_list and tdot_list must pair up one to one")
-    rows = []
+    if not n_list or len(n_list) != len(tdot_list):
+        raise ValueError("n_list and tdot_list must be non-empty and of equal length")
+    runs = []
     for n, tdot in zip(n_list, tdot_list):
         row_cfg = replace(
             cfg, n_gamma=int(n), tdot_i=float(tdot), xdot_i=cfg.v_init * float(tdot)
         )
-        sol = _tdot_ladder_solve(row_cfg, opts)
-        oracle = solve_geodesic_ode(row_cfg, tol)
-        rows.append(_row_from_solution(row_cfg, oracle, sol))
+        runs.append((row_cfg, solve(row_cfg, opts, guess=_geodesic_seed(row_cfg))))
+    span = max(c.tdot_i for c, _ in runs) * (cfg.gamma_f - cfg.gamma_i)
+    oracle = solve_geodesic_ode(
+        replace(cfg, tdot_i=1.0, xdot_i=cfg.v_init, gamma_f=cfg.gamma_i + span), tol
+    )
+    rows = []
+    for c, sol in runs:
+        gamma = c.gamma_i + c.tdot_i * (c.gamma_grid - c.gamma_i)
+        rows.append(_row_from_solution(c, sol, oracle, gamma))
     return ConvergenceTable(rows=tuple(rows))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,21 @@ def test_sweep_oracle_failure_exits_2_without_files(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "worldline sweep: Required step size is less than spacing between numbers.\n"
     )
+    assert not out.exists()
+
+
+def test_sweep_horizon_exits_2_fast_without_files(linear_config, tmp_path, capsys):
+    # at tdot_i = 6 the linear run reaches g00 = 1 + x/2 = 0 near gamma = 0.72;
+    # the geodesic seed meets it before Newton could spend its iterations
+    out = tmp_path / "o"
+    argv = ["sweep", "--config", str(linear_config), "--out", str(out)]
+    start = time.perf_counter()
+    assert main(argv + ["--n-list", "16,32", "--scale-tdot", "1,6"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    prefix = "worldline sweep: the trajectory reaches g00 <= 0 near gamma = 0.7"
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 
 

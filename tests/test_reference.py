@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import worldline as wl
+from worldline import reference
+from worldline.reference import _ERROR_COLUMNS, _geodesic_seed
 
 
 def test_geodesic_free_straight_line(free_cfg):
@@ -210,3 +212,87 @@ def test_scaled_tdot_study_pairs(quartic_cfg):
     assert all(r.max_interior_delta_e <= 1e-9 for r in table.rows)
     with pytest.raises(ValueError):
         wl.scaled_tdot_study(quartic_cfg, [16, 32], [1.0])
+    with pytest.raises(ValueError):
+        wl.scaled_tdot_study(quartic_cfg, [], [])
+
+
+@pytest.mark.parametrize(
+    "potential, s",
+    [
+        (wl.quartic_potential(0.5), 4.0),
+        (wl.quartic_potential(0.5), 8.0),
+        (wl.linear_potential(0.25), 4.0),
+    ],
+    ids=["quartic-4", "quartic-8", "linear-4"],
+)
+def test_tdot_run_is_the_unit_run_stretched(potential, s):
+    # the geodesic equations are invariant under gamma -> s gamma, which is
+    # what lets one oracle serve every row of scaled_tdot_study
+    cfg = wl.ProblemConfig(potential=potential)
+    row = wl.solve_geodesic_ode(replace(cfg, tdot_i=s, xdot_i=cfg.v_init * s), 1e-14)
+    unit = wl.solve_geodesic_ode(replace(cfg, gamma_f=s), 1e-14)
+    gamma = np.linspace(0.0, 1.0, 257)
+    assert np.max(np.abs(row.t(gamma) - unit.t(s * gamma))) <= 2e-12
+    assert np.max(np.abs(row.x(gamma) - unit.x(s * gamma))) <= 2e-12
+
+
+# criterion 9b's rows as the tdot ladder computed them, each against its own
+# oracle: (n, eps_final_x, eps_final_t, eps_l2_x, eps_l2_t, delta_e_end)
+LADDER_9B_ROWS = (
+    (16, 0.0017320871371094837, 0.0007030870104376419, 0.0033325088397485316,
+     0.004351274419575513, 0.12292803332006885),
+    (32, 0.012136693368571039, 0.007293238509566535, 0.016411988530303314,
+     0.04049904609416333, 4.811156311825664),
+    (64, 0.0038083103540951235, 0.0035995942051272323, 0.025015549974073455,
+     0.07536800768192237, 14.085437438900179),
+)
+
+
+def test_scaled_tdot_study_matches_the_ladder_rows(quartic_cfg):
+    table = wl.scaled_tdot_study(quartic_cfg, [16, 32, 64], [1.0, 4.0, 8.0])
+    for row, (n, *errors, delta_e_end) in zip(table.rows, LADDER_9B_ROWS, strict=True):
+        assert row.n_gamma == n
+        got = [getattr(row, name) for name in _ERROR_COLUMNS]
+        np.testing.assert_allclose(got, errors, rtol=0, atol=1e-12)
+        assert row.delta_e_end == pytest.approx(delta_e_end, rel=1e-11, abs=0)
+        assert row.max_interior_delta_e <= 1e-12
+
+
+def test_scaled_tdot_study_solves_each_row_once_against_one_oracle(
+    quartic_cfg, monkeypatch
+):
+    calls = {"oracle": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        reference, "solve_geodesic_ode", counted("oracle", wl.solve_geodesic_ode)
+    )
+    monkeypatch.setattr(reference, "solve", counted("solve", wl.solve))
+    wl.scaled_tdot_study(quartic_cfg, [16, 32, 64], [1.0, 4.0, 8.0])
+    assert calls == {"oracle": 1, "solve": 3}
+
+
+@pytest.mark.parametrize("order", ["sbp21", "sbp42"])
+def test_geodesic_seed_reaches_large_tdot_cold(order):
+    # the straight-line guess lies outside Newton's basin from tdot_i = 4 on
+    base = wl.ProblemConfig(
+        potential=wl.quartic_potential(0.5), n_gamma=256, order=order
+    )
+    for tdot in (4.0, 8.0, 16.0, 32.0):
+        cfg = replace(base, tdot_i=tdot, xdot_i=base.v_init * tdot)
+        sol = wl.solve(cfg, guess=_geodesic_seed(cfg))
+        assert sol.converged and sol.iterations <= 10, (tdot, sol.iterations)
+
+
+def test_geodesic_seed_converges_on_a_coarse_grid_at_tdot_8():
+    # warm-started continuation in tdot_i raised NonConvergence here
+    cfg = wl.ProblemConfig(
+        potential=wl.quartic_potential(0.5), n_gamma=32, tdot_i=8.0, xdot_i=0.8
+    )
+    assert wl.solve(cfg, guess=_geodesic_seed(cfg)).converged
