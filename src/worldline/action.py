@@ -23,11 +23,11 @@ quadrature, and the constraint rows built from the classical operator D.
 M, D and their transposes are applied from the operators' O(n) stored
 entries, so no n x n matrix is formed.
 
-The Hessian is a saddle-point matrix with a few nonzeros per row.  With the
-unknowns ordered as lam_1..lam_4, then (t1, t2, x1, x2) at each grid point,
-then lam_5..lam_8, it is banded with kl = ku = 10 (sbp21) or 20 (sbp42) at
-every grid size, and ``DiscreteAction.hessian`` assembles it straight into
-the LAPACK band storage that ``dgbsv`` factors.
+The Hessian is a saddle-point matrix with a few nonzeros per row.  Ordered
+lam_1..lam_4, (t1, t2, x1, x2) per grid point, lam_5..lam_8, it is banded
+(kl = ku = 10 for sbp21, 20 for sbp42), and ``hessian`` scatters it into
+LAPACK band storage.  The solver factors ``HalfBand``'s selection of it, the
+half-size physical-limit system (kl/ku = 8/2 for sbp21, 14/6 for sbp42).
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ __all__ = [
     "ProblemConfig",
     "StateVector",
     "BandedHessian",
+    "HalfBand",
     "DiscreteAction",
     "metric_g00",
     "metric_g00_prime",
@@ -312,18 +313,38 @@ def metric_g00_second(x, cfg: ProblemConfig):
 
 
 @dataclass(frozen=True)
+class HalfBand:
+    """Where the half-size physical-limit matrix R H P sits in the band.
+
+    Entry ``slot[k]`` of its band (bandwidths ``kl``, ``ku``) is entry
+    ``source[k]`` of ``BandedHessian.ab`` (flat indices; a repeat names the
+    same pair).  Band row b is packed row ``rows[b]``; a band solution y
+    lifts to the doubled step ``append(y, 0)[lift]``.
+    """
+
+    kl: int
+    ku: int
+    slot: np.ndarray
+    source: np.ndarray
+    rows: np.ndarray
+    lift: np.ndarray
+
+
+@dataclass(frozen=True)
 class BandedHessian:
     """The Hessian in LAPACK general-band storage, in band order.
 
     Entry (i, j) sits at ``ab[kl + ku + i - j, j]``; the first ``kl`` rows
     are the room ``dgbsv`` needs for the fill-in of partial pivoting.
-    Band unknown b is entry ``order[b]`` of ``StateVector.pack``.
+    Band unknown b is entry ``order[b]`` of ``StateVector.pack``, and
+    ``half`` locates the half-size system inside ``ab``.
     """
 
     ab: np.ndarray
     kl: int
     ku: int
     order: np.ndarray
+    half: HalfBand
 
     def __array__(self, dtype=None, copy=None):
         """The dense matrix in ``StateVector.pack`` order."""
@@ -414,6 +435,22 @@ class DiscreteAction:
         self._slot = (self.kl + self.ku + rows - cols) * (4 * n + 8) + cols
         self._order = np.argsort(pos)
 
+        # The half-size system R H P keeps rows lam_1..lam_4, then (t1, x1)
+        # point by point, and columns (t1, x1) point by point, then
+        # lam_5..lam_8.  No term joins those rows to a branch-2 column.
+        pts = np.column_stack([np.arange(n), 2 * n + np.arange(n)]).ravel()
+        half_rows = np.concatenate([4 * n + np.arange(4), pts])
+        half_cols = np.concatenate([pts, 4 * n + np.arange(4, 8)])
+        row_of, col_of = np.full((2, 4 * n + 8), -1)  # band position -> half index
+        row_of[pos[half_rows]] = col_of[pos[half_cols]] = np.arange(2 * n + 4)
+        keep = (row_of[rows] >= 0) & (col_of[cols] >= 0)
+        r, c = row_of[rows[keep]], col_of[cols[keep]]
+        kl, ku = int(np.max(r - c)), int(np.max(c - r))
+        k2 = 2 * np.arange(n)
+        lift = np.r_[k2, k2, k2 + 1, k2 + 1, [2 * n + 4] * 4, 2 * n : 2 * n + 4]
+        slot = (kl + ku + r - c) * (2 * n + 4) + c
+        self._half = HalfBand(kl, ku, slot, self._slot[keep], half_rows, lift)
+
     def _check(self, s: StateVector) -> None:
         if s.n != self.n:
             raise ValueError(
@@ -499,4 +536,6 @@ class DiscreteAction:
         ab = np.bincount(
             self._slot, weights=values, minlength=np.prod(self._band_shape)
         )
-        return BandedHessian(ab.reshape(self._band_shape), self.kl, self.ku, self._order)
+        return BandedHessian(
+            ab.reshape(self._band_shape), self.kl, self.ku, self._order, self._half
+        )

@@ -6,11 +6,14 @@ with Levenberg damping, using ||grad E||^2 as the line-search merit: the
 saddle becomes the global minimum of the merit, and every accepted step
 decreases it.
 
-Each Newton system is banded: ``DiscreteAction.hessian`` orders the
-unknowns point by point (bandwidths kl = ku = 10 for sbp21, 20 for sbp42),
-and LAPACK's band LU with partial pivoting, ``dgbsv``, solves it in O(n)
-per factorisation.  A gradient or Hessian that is not finite ends the solve
-with ``SingularSystem`` at once, since no damping can repair it.
+Each step solves the half-size physical-limit system R H P, whose 2n + 4
+unknowns (t1, x1, lam_5..lam_8) lift to t2 = t1, x2 = x1, lam_1..lam_4 = 0:
+every iterate lies on that limit, where branch 2's rows of grad E are
+-(branch 1's) and the lam_5..lam_8 rows vanish, so the lifted step is the
+doubled Newton step.  LAPACK's band LU ``dgbsv`` factors it in O(n)
+(kl/ku = 8/2 for sbp21, 14/6 for sbp42).  A gradient or Hessian that is
+not finite ends the solve with ``SingularSystem`` at once, since no
+damping can repair it.
 
 The solve stops on one of two tests.  The gradient test passes once
 ||grad||_2 <= grad_tol * (1 + ||z||_inf) (``termination == "converged"``).
@@ -26,7 +29,7 @@ cannot lower the merit means the gradient is rounding noise
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -132,17 +135,19 @@ def initial_guess(cfg: ProblemConfig) -> StateVector:
     return StateVector(t1=t, t2=t.copy(), x1=x, x2=x.copy(), lam=np.zeros(8))
 
 
-def _solve_damped(hess: BandedHessian, grad: np.ndarray, mu: float) -> np.ndarray:
-    ab = hess.ab.copy()
-    ab[hess.kl + hess.ku] += mu
-    _, _, x, info = scipy.linalg.lapack.dgbsv(
-        hess.kl, hess.ku, ab, -grad[hess.order], overwrite_ab=True, overwrite_b=True
+def _newton_step(hess: BandedHessian, grad: np.ndarray, mu: float) -> np.ndarray:
+    """Solve the damped half-size system (R H P + mu I) y = -R grad, lifted."""
+    half = hess.half
+    ab = np.zeros((2 * half.kl + half.ku + 1) * half.rows.size)
+    ab[half.slot] = hess.ab.ravel()[half.source]
+    ab = ab.reshape(-1, half.rows.size)
+    ab[half.kl + half.ku] += mu
+    _, _, y, info = scipy.linalg.lapack.dgbsv(
+        half.kl, half.ku, ab, -grad[half.rows], overwrite_ab=True, overwrite_b=True
     )
-    if info != 0 or not np.all(np.isfinite(x)):
+    if info != 0 or not np.all(np.isfinite(y)):
         raise np.linalg.LinAlgError("singular or non-finite Newton step")
-    step = np.empty_like(x)
-    step[hess.order] = x
-    return step
+    return np.append(y, 0.0)[half.lift]
 
 
 # Overflow and NaN are handled explicitly: the line search rejects a
@@ -156,18 +161,21 @@ def solve(
 ) -> Solution:
     """Find the critical point of the discrete action for ``cfg``.
 
-    Raises NonConvergence when the iteration cap is hit (the exception
-    carries the best iterate) and SingularSystem when the gradient norm or
-    a Hessian entry is not finite, or the damped Newton system cannot be
+    The guess is projected onto the physical limit (t2 := t1, x2 := x1,
+    lam_1..lam_4 := 0) first, so it returns the same state as its
+    projection.  Raises NonConvergence when the iteration cap is hit (the
+    exception carries the best iterate) and SingularSystem when the gradient
+    norm or a Hessian entry is not finite, or the damped system cannot be
     factorized at any damping level.
     """
     opts = opts or SolveOptions()
     action = DiscreteAction(cfg)
     n = cfg.n_gamma
 
-    z = (guess if guess is not None else initial_guess(cfg)).pack()
-    if z.shape != (4 * n + 8,):
+    s = guess if guess is not None else initial_guess(cfg)
+    if s.n != n:
         raise InvalidConfig("guess does not match the configured grid")
+    z = replace(s, t2=s.t1, x2=s.x1, lam=np.append(np.zeros(4), s.lam[4:])).pack()
 
     mu = opts.lm_damping_init
     grad = action.gradient(StateVector.unpack(z, n))
@@ -200,7 +208,7 @@ def solve(
             raise SingularSystem(f"non-finite Hessian at iteration {iterations}")
         while True:
             try:
-                step = _solve_damped(hess, grad, mu)
+                step = _newton_step(hess, grad, mu)
                 break
             except np.linalg.LinAlgError:
                 mu = max(mu, 1e-10) * 100.0
@@ -253,20 +261,13 @@ def continuation_solve(
 ) -> Solution:
     """Solve with a warm start interpolated from an earlier solution.
 
-    Coordinates are linearly interpolated in gamma onto the new grid; the
-    multipliers are carried over unchanged.  With ``from_solution`` absent
-    this reduces to a cold solve.
+    Branch 1's coordinates are linearly interpolated in gamma onto the new
+    grid (``solve`` projects onto the physical limit); the multipliers are
+    carried over unchanged.  Without ``from_solution`` it is a cold solve.
     """
     if from_solution is None:
         return solve(cfg, opts)
-    prev = from_solution.state
-    old_gamma = from_solution.gamma
-    new_gamma = cfg.gamma_grid
-    warm = StateVector(
-        t1=np.interp(new_gamma, old_gamma, prev.t1),
-        t2=np.interp(new_gamma, old_gamma, prev.t2),
-        x1=np.interp(new_gamma, old_gamma, prev.x1),
-        x2=np.interp(new_gamma, old_gamma, prev.x2),
-        lam=prev.lam.copy(),
-    )
-    return solve(cfg, opts, guess=warm)
+    prev, old_gamma = from_solution.state, from_solution.gamma
+    t = np.interp(cfg.gamma_grid, old_gamma, prev.t1)
+    x = np.interp(cfg.gamma_grid, old_gamma, prev.x1)
+    return solve(cfg, opts, guess=StateVector(t1=t, t2=t, x1=x, x2=x, lam=prev.lam))

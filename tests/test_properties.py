@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 import worldline as wl
 from worldline.action import metric_g00, metric_g00_prime, metric_g00_second
 from worldline.sbp import MIN_POINTS
-from worldline.solver import _solve_damped
+from worldline.solver import _newton_step
 
 families = st.sampled_from(sorted(MIN_POINTS))
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -140,15 +140,52 @@ def test_banded_hessian_matches_dense_reference(grid, potential, mu, seed):
     reference = dense_hessian(action, s)
     assert np.all(np.abs(dense - reference) <= 1e-12 * (1.0 + np.abs(reference)))
 
+    # R H P: rows lam_1..lam_4, t1, x1; columns t1 = t2, x1 = x2, lam_5..lam_8
+    rows, lift, size = hess.half.rows, hess.half.lift, 2 * n + 4
+    assert hess.half.kl + hess.half.ku == hess.kl
+    assert sorted(rows) == [*range(n), *range(2 * n, 3 * n), *range(4 * n, 4 * n + 4)]
+    assert np.array_equal(lift[:n], lift[n : 2 * n])
+    assert np.array_equal(lift[2 * n : 3 * n], lift[3 * n : 4 * n])
+    assert np.all(lift[4 * n : 4 * n + 4] == size)
+    lift_matrix = np.eye(size + 1)[lift, :size]
+    assert sorted(lift_matrix.sum(axis=0)) == [1.0] * 4 + [2.0] * (2 * n)
+
     grad = action.gradient(s)
-    step = _solve_damped(hess, grad, mu)
-    damped = dense + mu * np.eye(4 * n + 8)
-    residual = np.max(np.abs(damped @ step + grad))
-    scale = np.max(np.sum(np.abs(damped), axis=1)) * np.max(np.abs(step))
-    assert residual <= 1e-14 * (scale + np.max(np.abs(grad)))
+    step = _newton_step(hess, grad, mu)
+    y = lift_matrix.T @ step / lift_matrix.sum(axis=0)
+    assert np.array_equal(lift_matrix @ y, step)
+    damped = dense[rows] @ lift_matrix + mu * np.eye(size)
+    residual = np.max(np.abs(damped @ y + grad[rows]))
+    scale = np.max(np.sum(np.abs(damped), axis=1)) * np.max(np.abs(y))
+    assert residual <= 1e-14 * (scale + np.max(np.abs(grad[rows])))
     # Two backward-stable solves agree to about eps * cond; a random state
     # can be nearly singular (1 in 1500 seeded draws had cond 2.5e9), and
     # there only the residual check above is meaningful.
-    expected = np.linalg.solve(damped, -grad)
-    if np.linalg.norm(step - expected) > 1e-10 * np.linalg.norm(expected):
+    expected = np.linalg.solve(damped, -grad[rows])
+    if np.linalg.norm(y - expected) > 1e-10 * np.linalg.norm(expected):
         assert np.linalg.cond(damped) > 1e8
+
+
+@given(grid=grids, potential=potentials, seed=seeds)
+def test_half_size_step_solves_the_doubled_system_at_the_limit(grid, potential, seed):
+    # on the physical limit branch 2's gradient rows are -(branch 1's) and
+    # the connecting residuals vanish, so the lifted half-size Newton step
+    # is the doubled Newton step
+    family, n = grid
+    cfg = wl.ProblemConfig(potential=potential, n_gamma=n, order=family)
+    action = wl.DiscreteAction(cfg)
+    rng = np.random.default_rng(seed)
+    z = wl.initial_guess(cfg).pack() + 0.3 * rng.standard_normal(4 * n + 8)
+    s = wl.StateVector.unpack(z, n)
+    s = replace(s, t2=s.t1, x2=s.x1, lam=np.append(np.zeros(4), s.lam[4:]))
+    grad = action.gradient(s)
+    assert np.array_equal(grad[n : 2 * n], -grad[:n])
+    assert np.array_equal(grad[3 * n : 4 * n], -grad[2 * n : 3 * n])
+    assert np.all(grad[-4:] == 0)
+
+    hess = action.hessian(s)
+    dense = np.asarray(hess)
+    step = _newton_step(hess, grad, 0.0)
+    residual = np.max(np.abs(dense @ step + grad))
+    scale = np.max(np.sum(np.abs(dense), axis=1)) * np.max(np.abs(step))
+    assert residual <= 1e-14 * (scale + np.max(np.abs(grad)))
