@@ -1,7 +1,7 @@
 """Grid-refinement convergence of the variational solver.
 
 Errors are measured against an adaptive Runge-Kutta integration of the
-geodesic system at tolerance 1e-12, both at the final point (the least
+geodesic system at tolerance 1e-14, both at the final point (the least
 favorable place, right where the charge deviates) and globally in the
 quadrature-weighted L2 norm.  The second-order operator converges at
 rate ~2, the fourth-order one at rate ~3 and better.

@@ -23,11 +23,13 @@ quadrature, and the constraint rows built from the classical operator D.
 M, D and their transposes are applied from the operators' O(n) stored
 entries, so no n x n matrix is formed.
 
-The Hessian is a saddle-point matrix with a few nonzeros per row.  Ordered
-lam_1..lam_4, (t1, t2, x1, x2) per grid point, lam_5..lam_8, it is banded
-(kl = ku = 10 for sbp21, 20 for sbp42), and ``hessian`` scatters it into
-LAPACK band storage.  The solver factors ``HalfBand``'s selection of it, the
-half-size physical-limit system (kl/ku = 8/2 for sbp21, 14/6 for sbp42).
+The answer lies on the physical limit t2 = t1, x2 = x1, lam_1..lam_4 = 0,
+where branch 2's gradient rows are -(branch 1's) and the lam_5..lam_8 rows
+vanish.  So the only Hessian built is R H P, the 2n + 4 physical-limit
+matrix: rows lam_1..lam_4, then (t1, x1) point by point; columns (t1, x1)
+point by point, then lam_5..lam_8.  No entry of those rows lies in a
+branch-2 column, so ``hessian`` assembles it from branch 1 alone, straight
+into LAPACK band storage (kl/ku = 8/2 for sbp21, 14/6 for sbp42).
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ __all__ = [
     "ProblemConfig",
     "StateVector",
     "BandedHessian",
-    "HalfBand",
     "DiscreteAction",
     "metric_g00",
     "metric_g00_prime",
@@ -313,53 +314,44 @@ def metric_g00_second(x, cfg: ProblemConfig):
 
 
 @dataclass(frozen=True)
-class HalfBand:
-    """Where the half-size physical-limit matrix R H P sits in the band.
-
-    Entry ``slot[k]`` of its band (bandwidths ``kl``, ``ku``) is entry
-    ``source[k]`` of ``BandedHessian.ab`` (flat indices; a repeat names the
-    same pair).  Band row b is packed row ``rows[b]``; a band solution y
-    lifts to the doubled step ``append(y, 0)[lift]``.
-    """
-
-    kl: int
-    ku: int
-    slot: np.ndarray
-    source: np.ndarray
-    rows: np.ndarray
-    lift: np.ndarray
-
-
-@dataclass(frozen=True)
 class BandedHessian:
-    """The Hessian in LAPACK general-band storage, in band order.
+    """R H P in LAPACK general-band storage.
 
     Entry (i, j) sits at ``ab[kl + ku + i - j, j]``; the first ``kl`` rows
-    are the room ``dgbsv`` needs for the fill-in of partial pivoting.
-    Band unknown b is entry ``order[b]`` of ``StateVector.pack``, and
-    ``half`` locates the half-size system inside ``ab``.
+    are the room ``dgbsv`` needs for the fill-in of partial pivoting.  Rows
+    are lam_1..lam_4, then (t1, x1) point by point; columns are (t1, x1)
+    point by point, then lam_5..lam_8.
     """
 
     ab: np.ndarray
     kl: int
     ku: int
-    order: np.ndarray
-    half: HalfBand
 
     def __array__(self, dtype=None, copy=None):
-        """The dense matrix in ``StateVector.pack`` order."""
+        """The dense (2n + 4) x (2n + 4) matrix."""
         r, j = np.nonzero(self.ab[self.kl :])
         size = self.ab.shape[1]
         dense = np.zeros((size, size))
-        dense[self.order[j + r - self.ku], self.order[j]] = self.ab[self.kl + r, j]
+        dense[j + r - self.ku, j] = self.ab[self.kl + r, j]
         return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    @staticmethod
+    def restrict(grad: np.ndarray) -> np.ndarray:
+        """R grad: lam_1..lam_4, then (t1, x1) point by point."""
+        return np.concatenate([grad[-8:-4], grad[:-8].reshape(4, -1)[::2].T.ravel()])
+
+    @staticmethod
+    def lift(y: np.ndarray) -> np.ndarray:
+        """P y: t2 = t1, x2 = x1, lam_1..lam_4 = 0, in ``StateVector.pack`` order."""
+        t, x = y[:-4:2], y[1:-4:2]
+        return np.concatenate([t, t, x, x, np.zeros(4), y[-4:]])
 
 
 class DiscreteAction:
-    """Evaluator for the discrete action, its gradient, and its Hessian.
+    """Evaluator for the discrete action, its gradient, and R H P.
 
-    Operators, the 8 x 4n constraint Jacobian and the band pattern of the
-    Hessian are assembled once at construction.  The initial-data targets
+    Operators, the 8 x 4n constraint Jacobian and the band pattern of R H P
+    are assembled once at construction.  The initial-data targets
     of the multiplier constraints are kept as plain attributes, separate
     from the shift absorbed into the regularized operators, so the two roles
     of the initial values can be probed independently.
@@ -381,24 +373,16 @@ class DiscreteAction:
         self._band_pattern()
 
     def _band_pattern(self) -> None:
-        """Record the band slot, coefficient and weight of every Hessian term.
+        """Record the band slot, coefficient and weight of every term of R H P.
 
-        The weight vector ``hessian`` builds holds, per branch, g00 h,
-        g00' h wt and 1/2 g00'' h wt^2 at each grid point, then a constant 1.
+        The weight vector ``hessian`` builds holds g00 h, g00' h wt and
+        1/2 g00'' h wt^2 of branch 1 at each grid point, then a constant 1.
         A term contributes coefficient * weight to its slot of the band.
         """
         n = self.n
-        # band position of each packed unknown: lam_1..lam_4, then
-        # (t1, t2, x1, x2) point by point, then lam_5..lam_8
-        pos = np.concatenate(
-            [
-                (4 + 4 * np.arange(n) + np.arange(4)[:, None]).ravel(),
-                np.arange(4),
-                4 * n + np.arange(4, 8),
-            ]
-        )
-        const = 6 * n
-        terms = []  # (row, col, coefficient, weight index) arrays
+        # columns of t1 and x1; their rows lie 4 further down, below lam_1..lam_4
+        t, x = 2 * np.arange(n), 2 * np.arange(n) + 1
+        const = 3 * n
 
         # Each ordered pair (a, b) of nonzeros in one row k of M gives the
         # term M[k, i_a] w_k M[k, i_b] of M^T diag(w) M.  The entries are
@@ -410,46 +394,27 @@ class DiscreteAction:
         a = np.repeat(np.arange(k.size), count)
         b = first[a] + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
         mm, ka = m[a] * m[b], k[a]
+        terms = [  # (row, col, coefficient, weight index) arrays
+            (4 + t[i[a]], t[i[b]], mm, ka),
+            (4 + x[i[a]], x[i[b]], -mm * self.h[ka], np.full(ka.size, const)),
+            (4 + x, x, np.ones(n), 2 * n + np.arange(n)),
+            (4 + t[i], x[k], m, n + k),
+            (4 + x[k], t[i], m, n + k),
+        ]
 
-        for branch, sign in enumerate((1.0, -1.0)):
-            tb = pos[branch * n : (branch + 1) * n]
-            xb = pos[(2 + branch) * n : (3 + branch) * n]
-            g00h, gpw, gppw = 3 * n * branch + n * np.arange(3)
-            terms += [
-                (tb[i[a]], tb[i[b]], sign * mm, g00h + ka),
-                (xb[i[a]], xb[i[b]], -sign * mm * self.h[ka], np.full(ka.size, const)),
-                (xb, xb, np.full(n, sign), gppw + np.arange(n)),
-                (tb[i], xb[k], sign * m, gpw + k),
-                (xb[k], tb[i], sign * m, gpw + k),
-            ]
-
-        r, c = np.nonzero(self._jac)
-        lam, coord, weight = pos[4 * n + r], pos[c], np.full(r.size, const)
-        jr = self._jac[r, c]
-        terms += [(lam, coord, jr, weight), (coord, lam, jr, weight)]
+        # the constraint Jacobian on (t1, x1) point by point: rows
+        # lam_1..lam_4 of R H P, and its columns lam_5..lam_8 transposed
+        jac = self._jac.reshape(8, 4, n)[:, ::2].transpose(0, 2, 1).reshape(8, 2 * n)
+        r, c = np.nonzero(jac[:4])
+        terms.append((r, c, jac[r, c], np.full(r.size, const)))
+        r, c = np.nonzero(jac[4:])
+        terms.append((4 + c, 2 * n + r, jac[4 + r, c], np.full(r.size, const)))
 
         rows, cols, self._coef, self._weight = map(np.concatenate, zip(*terms))
         self.kl = int(np.max(rows - cols))
         self.ku = int(np.max(cols - rows))
-        self._band_shape = (2 * self.kl + self.ku + 1, 4 * n + 8)
-        self._slot = (self.kl + self.ku + rows - cols) * (4 * n + 8) + cols
-        self._order = np.argsort(pos)
-
-        # The half-size system R H P keeps rows lam_1..lam_4, then (t1, x1)
-        # point by point, and columns (t1, x1) point by point, then
-        # lam_5..lam_8.  No term joins those rows to a branch-2 column.
-        pts = np.column_stack([np.arange(n), 2 * n + np.arange(n)]).ravel()
-        half_rows = np.concatenate([4 * n + np.arange(4), pts])
-        half_cols = np.concatenate([pts, 4 * n + np.arange(4, 8)])
-        row_of, col_of = np.full((2, 4 * n + 8), -1)  # band position -> half index
-        row_of[pos[half_rows]] = col_of[pos[half_cols]] = np.arange(2 * n + 4)
-        keep = (row_of[rows] >= 0) & (col_of[cols] >= 0)
-        r, c = row_of[rows[keep]], col_of[cols[keep]]
-        kl, ku = int(np.max(r - c)), int(np.max(c - r))
-        k2 = 2 * np.arange(n)
-        lift = np.r_[k2, k2, k2 + 1, k2 + 1, [2 * n + 4] * 4, 2 * n : 2 * n + 4]
-        slot = (kl + ku + r - c) * (2 * n + 4) + c
-        self._half = HalfBand(kl, ku, slot, self._slot[keep], half_rows, lift)
+        self._band_shape = (2 * self.kl + self.ku + 1, 2 * n + 4)
+        self._slot = (self.kl + self.ku + rows - cols) * (2 * n + 4) + cols
 
     def _check(self, s: StateVector) -> None:
         if s.n != self.n:
@@ -522,20 +487,17 @@ class DiscreteAction:
         return jac.reshape(8, 4 * n)
 
     def hessian(self, s: StateVector) -> BandedHessian:
+        """R H P at ``s``, which reads only t1, x1 and the multiplier terms."""
         self._check(s)
-        weights = []
-        for _, t, x in self._branches(s):
-            wt = self.reg_t.apply(t)
-            weights += [
-                metric_g00(x, self.cfg) * self.h,
-                metric_g00_prime(x, self.cfg) * self.h * wt,
-                0.5 * metric_g00_second(x, self.cfg) * self.h * wt * wt,
-            ]
-        weights.append([1.0])
+        wt = self.reg_t.apply(s.t1)
+        weights = [
+            metric_g00(s.x1, self.cfg) * self.h,
+            metric_g00_prime(s.x1, self.cfg) * self.h * wt,
+            0.5 * metric_g00_second(s.x1, self.cfg) * self.h * wt * wt,
+            [1.0],
+        ]
         values = self._coef * np.concatenate(weights)[self._weight]
         ab = np.bincount(
             self._slot, weights=values, minlength=np.prod(self._band_shape)
         )
-        return BandedHessian(
-            ab.reshape(self._band_shape), self.kl, self.ku, self._order, self._half
-        )
+        return BandedHessian(ab.reshape(self._band_shape), self.kl, self.ku)

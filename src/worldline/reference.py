@@ -218,7 +218,8 @@ class ConvergenceTable:
 
         Rows with n_gamma below ``min_n`` are excluded, which is how the
         pre-asymptotic regime of a study can be trimmed.  At least three
-        points must remain.
+        points must remain.  A measure that is 0 on some row has no rate:
+        its ``beta`` and ``residual_rms`` are None.
         """
         rows = [r for r in self.rows if r.n_gamma >= min_n]
         if len(rows) < 3:
@@ -228,13 +229,16 @@ class ConvergenceTable:
         log_dg = np.log([r.dgamma for r in rows])
         fits = {}
         for name in _ERROR_COLUMNS:
-            log_eps = np.log([getattr(r, name) for r in rows])
-            beta, const = np.polyfit(log_dg, log_eps, 1)
-            resid = log_eps - (beta * log_dg + const)
-            fits[name] = {
-                "beta": float(beta),
-                "residual_rms": float(np.sqrt(np.mean(resid ** 2))),
-            }
+            eps = np.array([getattr(r, name) for r in rows])
+            fits[name] = {"beta": None, "residual_rms": None}
+            if np.all(eps > 0):
+                log_eps = np.log(eps)
+                beta, const = np.polyfit(log_dg, log_eps, 1)
+                resid = log_eps - (beta * log_dg + const)
+                fits[name] = {
+                    "beta": float(beta),
+                    "residual_rms": float(np.sqrt(np.mean(resid ** 2))),
+                }
         return fits
 
 

@@ -6,14 +6,15 @@ with Levenberg damping, using ||grad E||^2 as the line-search merit: the
 saddle becomes the global minimum of the merit, and every accepted step
 decreases it.
 
-Each step solves the half-size physical-limit system R H P, whose 2n + 4
-unknowns (t1, x1, lam_5..lam_8) lift to t2 = t1, x2 = x1, lam_1..lam_4 = 0:
-every iterate lies on that limit, where branch 2's rows of grad E are
--(branch 1's) and the lam_5..lam_8 rows vanish, so the lifted step is the
-doubled Newton step.  LAPACK's band LU ``dgbsv`` factors it in O(n)
-(kl/ku = 8/2 for sbp21, 14/6 for sbp42).  A gradient or Hessian that is
-not finite ends the solve with ``SingularSystem`` at once, since no
-damping can repair it.
+Each step solves the half-size physical-limit system R H P, the one
+Hessian ``DiscreteAction.hessian`` assembles (from branch 1, in band
+storage).  Its 2n + 4 unknowns (t1, x1, lam_5..lam_8) lift to t2 = t1,
+x2 = x1, lam_1..lam_4 = 0: every iterate lies on that limit, where branch
+2's rows of grad E are -(branch 1's) and the lam_5..lam_8 rows vanish, so
+the lifted step is the doubled Newton step.  LAPACK's band LU ``dgbsv``
+factors it in O(n) (kl/ku = 8/2 for sbp21, 14/6 for sbp42).  A gradient
+or Hessian that is not finite ends the solve with ``SingularSystem`` at
+once, since no damping can repair it.
 
 The solve stops on one of two tests.  The gradient test passes once
 ||grad||_2 <= grad_tol * (1 + ||z||_inf) (``termination == "converged"``).
@@ -137,17 +138,14 @@ def initial_guess(cfg: ProblemConfig) -> StateVector:
 
 def _newton_step(hess: BandedHessian, grad: np.ndarray, mu: float) -> np.ndarray:
     """Solve the damped half-size system (R H P + mu I) y = -R grad, lifted."""
-    half = hess.half
-    ab = np.zeros((2 * half.kl + half.ku + 1) * half.rows.size)
-    ab[half.slot] = hess.ab.ravel()[half.source]
-    ab = ab.reshape(-1, half.rows.size)
-    ab[half.kl + half.ku] += mu
+    ab = hess.ab.copy()
+    ab[hess.kl + hess.ku] += mu
     _, _, y, info = scipy.linalg.lapack.dgbsv(
-        half.kl, half.ku, ab, -grad[half.rows], overwrite_ab=True, overwrite_b=True
+        hess.kl, hess.ku, ab, -hess.restrict(grad), overwrite_ab=True, overwrite_b=True
     )
     if info != 0 or not np.all(np.isfinite(y)):
         raise np.linalg.LinAlgError("singular or non-finite Newton step")
-    return np.append(y, 0.0)[half.lift]
+    return hess.lift(y)
 
 
 # Overflow and NaN are handled explicitly: the line search rejects a

@@ -51,6 +51,37 @@ def fd_hessian(action, z, n):
     return out
 
 
+def physical_limit_indices(n):
+    """Pack indices of R's rows and of P's columns.
+
+    Rows are lam_1..lam_4, then (t1, x1) point by point; columns are
+    (t1, x1) point by point, then lam_5..lam_8.
+    """
+    points = np.column_stack([np.arange(n), 2 * n + np.arange(n)]).ravel()
+    return np.r_[4 * n : 4 * n + 4, points], np.r_[points, 4 * n + 4 : 4 * n + 8]
+
+
+def doubled_hessian(action, s):
+    """The doubled (4n + 8)^2 Hessian in pack order, from program output.
+
+    Branch 1 and the multiplier entries R H P holds come from
+    ``hessian(s)``; branch 2 is -(the coordinate block of ``hessian`` at
+    the branch-swapped state), since branch 2 enters the action with
+    opposite sign; the other multiplier blocks are ``constraint_jacobian()``.
+    """
+    n = s.n
+    rows, cols = physical_limit_indices(n)
+    jac = action.constraint_jacobian()
+    out = np.zeros((4 * n + 8, 4 * n + 8))
+    out[4 * n :, : 4 * n] = jac
+    out[: 4 * n, 4 * n :] = jac.T
+    out[np.ix_(rows, cols)] = np.asarray(action.hessian(s))
+    swapped = np.asarray(action.hessian(wl.StateVector(s.t2, s.t1, s.x2, s.x1, s.lam)))
+    branch2 = cols[:-4] + n  # (t2, x2) point by point
+    out[np.ix_(branch2, branch2)] = -swapped[4:, :-4]
+    return out
+
+
 def scaled_max_err(a, b):
     """Worst entrywise |a - b| / (1 + |b|)."""
     a = np.asarray(a, dtype=float)

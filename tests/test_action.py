@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import worldline as wl
-from conftest import fd_gradient, fd_hessian, scaled_max_err
+from conftest import doubled_hessian, fd_gradient, fd_hessian, scaled_max_err
 
 
 def random_state(cfg, rng, scale=0.3):
@@ -196,7 +196,7 @@ def test_hessian_symmetric_and_matches_fd():
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=8)
     action = wl.DiscreteAction(cfg)
     s = random_state(cfg, rng)
-    hess = np.asarray(action.hessian(s))
+    hess = doubled_hessian(action, s)
     assert np.max(np.abs(hess - hess.T)) <= 1e-12
     assert scaled_max_err(hess, fd_hessian(action, s.pack(), 8)) <= 1e-5
 
@@ -206,10 +206,13 @@ def test_free_hessian_cross_blocks_vanish():
     cfg = wl.ProblemConfig(potential=wl.free_potential(), n_gamma=8)
     action = wl.DiscreteAction(cfg)
     s = random_state(cfg, rng)
-    n = 8
-    hess = np.asarray(action.hessian(s))
-    assert np.all(hess[:n, 2 * n : 3 * n] == 0.0)
-    assert np.all(hess[n : 2 * n, 3 * n : 4 * n] == 0.0)
+    swapped = wl.StateVector(t1=s.t2, t2=s.t1, x1=s.x2, x2=s.x1, lam=s.lam)
+    for state in (s, swapped):
+        # rows t1, x1 and columns t1, x1 of R H P, point by point
+        coords = np.asarray(action.hessian(state))[4:, :-4]
+        assert np.all(coords[0::2, 1::2] == 0.0)  # t rows, x columns
+        assert np.all(coords[1::2, 0::2] == 0.0)  # x rows, t columns
+        assert np.all(np.diag(coords) != 0.0)
 
 
 def test_free_line_gradient_structure():
@@ -291,9 +294,9 @@ def test_large_grid_stores_only_linear_size_arrays(order):
     assert np.all(np.isfinite(action.gradient(s)))
     hess = action.hessian(s)
     assert np.all(np.isfinite(hess.ab))
-    assert (hess.kl, hess.ku) == {"sbp21": (10, 10), "sbp42": (20, 20)}[order]
-    # the largest are the Hessian band pattern's per-term arrays, about 82 n
-    # entries for sbp42; an n x n operator would hold 4096 n
+    assert (hess.kl, hess.ku) == {"sbp21": (8, 2), "sbp42": (14, 6)}[order]
+    # the largest are R H P's per-term arrays, about 41 n entries for sbp42,
+    # and the 8 x 4n constraint Jacobian; an n x n operator would hold 4096 n
     held = [action, action.op, action.reg_t, action.reg_x]
     sizes = [a.size for obj in held for a in vars(obj).values() if isinstance(a, np.ndarray)]
-    assert max(sizes) <= 128 * n
+    assert max(sizes) <= 64 * n

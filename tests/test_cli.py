@@ -286,6 +286,30 @@ def test_sweep_order_override(linear_config, tmp_path):
     assert fits["fits"]["eps_l2_x"]["beta"] > 2.5
 
 
+def test_sweep_exact_column_writes_strict_json_and_no_warning(tmp_path):
+    # the free particle at zero velocity has eps_x = 0 on every grid
+    config = tmp_path / "rest.json"
+    config.write_text('{"potential": {"type": "free"}, "n_gamma": 16, "xdot_i": 0.0}')
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    argv = ["sweep", "--config", str(config), "--n-list", "16,32,64", "--out", str(tmp_path / "o")]
+    result = subprocess.run(
+        [sys.executable, "-m", "worldline.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        timeout=120,
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    text = (tmp_path / "o" / "fit.json").read_text()
+    fits = json.loads(text, parse_constant=reject)["fits"]
+    for name in ("eps_final_x", "eps_l2_x"):
+        assert fits[name] == {"beta": None, "residual_rms": None}
+
+
 def test_sweep_scale_tdot(quartic_config, tmp_path):
     out = tmp_path / "scaled"
     code = main(

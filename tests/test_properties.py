@@ -12,6 +12,7 @@ import worldline as wl
 from worldline.action import metric_g00, metric_g00_prime, metric_g00_second
 from worldline.sbp import MIN_POINTS
 from worldline.solver import _newton_step
+from conftest import physical_limit_indices
 
 families = st.sampled_from(sorted(MIN_POINTS))
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -134,27 +135,21 @@ def test_banded_hessian_matches_dense_reference(grid, potential, mu, seed):
     z = wl.initial_guess(cfg).pack() + 0.3 * rng.standard_normal(4 * n + 8)
     s = wl.StateVector.unpack(z, n)
     hess = action.hessian(s)
-    assert (hess.kl, hess.ku) == {"sbp21": (10, 10), "sbp42": (20, 20)}[family]
-
-    dense = np.asarray(hess)
-    reference = dense_hessian(action, s)
-    assert np.all(np.abs(dense - reference) <= 1e-12 * (1.0 + np.abs(reference)))
+    assert (hess.kl, hess.ku) == {"sbp21": (8, 2), "sbp42": (14, 6)}[family]
 
     # R H P: rows lam_1..lam_4, t1, x1; columns t1 = t2, x1 = x2, lam_5..lam_8
-    rows, lift, size = hess.half.rows, hess.half.lift, 2 * n + 4
-    assert hess.half.kl + hess.half.ku == hess.kl
-    assert sorted(rows) == [*range(n), *range(2 * n, 3 * n), *range(4 * n, 4 * n + 4)]
-    assert np.array_equal(lift[:n], lift[n : 2 * n])
-    assert np.array_equal(lift[2 * n : 3 * n], lift[3 * n : 4 * n])
-    assert np.all(lift[4 * n : 4 * n + 4] == size)
-    lift_matrix = np.eye(size + 1)[lift, :size]
-    assert sorted(lift_matrix.sum(axis=0)) == [1.0] * 4 + [2.0] * (2 * n)
+    rows, cols = physical_limit_indices(n)
+    dense = np.asarray(hess)
+    reference = dense_hessian(action, s)[rows][:, cols]
+    assert np.all(np.abs(dense - reference) <= 1e-12 * (1.0 + np.abs(reference)))
 
     grad = action.gradient(s)
     step = _newton_step(hess, grad, mu)
-    y = lift_matrix.T @ step / lift_matrix.sum(axis=0)
-    assert np.array_equal(lift_matrix @ y, step)
-    damped = dense[rows] @ lift_matrix + mu * np.eye(size)
+    assert np.array_equal(step[n : 2 * n], step[:n])
+    assert np.array_equal(step[3 * n : 4 * n], step[2 * n : 3 * n])
+    assert np.all(step[4 * n : 4 * n + 4] == 0)
+    y = step[cols]
+    damped = dense + mu * np.eye(2 * n + 4)
     residual = np.max(np.abs(damped @ y + grad[rows]))
     scale = np.max(np.sum(np.abs(damped), axis=1)) * np.max(np.abs(y))
     assert residual <= 1e-14 * (scale + np.max(np.abs(grad[rows])))
@@ -183,9 +178,8 @@ def test_half_size_step_solves_the_doubled_system_at_the_limit(grid, potential, 
     assert np.array_equal(grad[3 * n : 4 * n], -grad[2 * n : 3 * n])
     assert np.all(grad[-4:] == 0)
 
-    hess = action.hessian(s)
-    dense = np.asarray(hess)
-    step = _newton_step(hess, grad, 0.0)
+    dense = dense_hessian(action, s)
+    step = _newton_step(action.hessian(s), grad, 0.0)
     residual = np.max(np.abs(dense @ step + grad))
     scale = np.max(np.sum(np.abs(dense), axis=1)) * np.max(np.abs(step))
     assert residual <= 1e-14 * (scale + np.max(np.abs(grad)))

@@ -194,6 +194,17 @@ def test_convergence_study_smoke(linear_cfg):
     assert np.all(np.diff(eps) < 0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_reports_an_exact_column_as_not_fittable(free_cfg):
+    # at zero velocity the free particle's x is exact on every grid
+    table = wl.convergence_study(replace(free_cfg, xdot_i=0.0), [16, 32, 64])
+    assert np.all(table.column("eps_final_x") == 0.0)
+    fits = table.fit_exponents()
+    for name in ("eps_final_x", "eps_l2_x"):
+        assert fits[name] == {"beta": None, "residual_rms": None}
+    assert isinstance(fits["eps_final_t"]["beta"], float)
+
+
 def test_fit_refused_below_three_points(linear_cfg):
     table = wl.convergence_study(linear_cfg, [8, 16, 32])
     with pytest.raises(ValueError):

@@ -159,8 +159,8 @@ def test_non_finite_hessian_raises_without_damping_retries():
     cfg = wl.ProblemConfig(potential=pot, n_gamma=16)
     with pytest.raises(wl.SingularSystem, match="non-finite Hessian"):
         wl.solve(cfg)
-    # one Hessian, which evaluates d2v once per branch
-    assert len(calls) == 2
+    # one Hessian, which evaluates d2v on branch 1 only
+    assert len(calls) == 1
 
 
 def test_non_finite_gradient_norm_raises():
