@@ -1,6 +1,7 @@
 """Command-line front end: solve, sweep, dump-operator.
 
-All outputs are byte-deterministic for fixed inputs: floats are written as
+This is the only module that formats or writes output files.  All
+outputs are byte-deterministic for fixed inputs: floats are written as
 their shortest round-trip decimals, JSON keys are sorted, and no
 timestamps appear anywhere.  Every run writes a manifest listing the
 emitted files with their SHA-256 checksums.
@@ -19,16 +20,15 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .action import InvalidConfig, ProblemConfig
-from .diagnostics import _csv_text, _fmt, diagnose
+from .diagnostics import diagnose
 from .reference import StepFailure, convergence_study, scaled_tdot_study
 from .sbp import SIGMA0, build_operator, regularize
 from .solver import NonConvergence, SingularSystem, SolveOptions, solve
@@ -137,37 +137,60 @@ def _solve_options(args) -> SolveOptions:
     return replace(opts, **overrides) if overrides else opts
 
 
-@dataclass
-class _OutputSink:
-    """Collects emitted files so the manifest can list them all."""
+# The output format: floats as their shortest round-trip decimal (repr),
+# integers as integers, comma-separated rows ending in "\n", and JSON
+# indented with sorted keys.
+def _table(header, columns) -> str:
+    """CSV text with one row per index of the equal-length ``columns``."""
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
 
-    directory: Path
-    entries: list
 
-    @classmethod
-    def create(cls, directory: str) -> "_OutputSink":
-        d = Path(directory)
-        d.mkdir(parents=True, exist_ok=True)
-        return cls(directory=d, entries=[])
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    def write_text(self, name: str, text: str) -> None:
-        data = text.encode("utf-8")
-        (self.directory / name).write_bytes(data)
-        self.entries.append(
-            {"name": name, "sha256": hashlib.sha256(data).hexdigest()}
-        )
 
-    def finish(self, subcommand: str, config_path: str | None) -> None:
-        manifest = {
-            "subcommand": subcommand,
-            "config": config_path,
-            "out_dir": str(self.directory),
-            "files": sorted(self.entries, key=lambda e: e["name"])
-            + [{"name": "manifest.json", "sha256": None}],
-        }
-        (self.directory / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+def _write_outputs(out: str, subcommand: str, config: str, files: dict) -> None:
+    """Write ``files`` (name -> text) into ``out``, then a manifest of them."""
+    directory = Path(out)
+    directory.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for name in sorted(files):
+        data = files[name].encode("utf-8")
+        (directory / name).write_bytes(data)
+        entries.append({"name": name, "sha256": hashlib.sha256(data).hexdigest()})
+    manifest = {
+        "subcommand": subcommand,
+        "config": config,
+        "out_dir": str(directory),
+        "files": entries + [{"name": "manifest.json", "sha256": None}],
+    }
+    (directory / "manifest.json").write_text(_json(manifest), encoding="utf-8")
+
+
+_TRAJECTORY_HEADER = ("gamma", "t1", "t2", "x1", "x2")
+_DIAGNOSTICS_HEADER = (
+    "gamma",
+    "t",
+    "x",
+    "dt_dgamma",
+    "q_t",
+    "delta_e",
+    "delta_g_t",
+    "delta_g_x",
+    "h_bvp",
+)
+_SWEEP_HEADER = (
+    "n",
+    "dgamma",
+    "eps_final_x",
+    "eps_final_t",
+    "eps_l2_x",
+    "eps_l2_t",
+    "delta_e_end",
+    "max_interior_delta_e",
+)
 
 
 def cmd_solve(args) -> int:
@@ -188,71 +211,45 @@ def cmd_solve(args) -> int:
         print(f"worldline solve: {exc}", file=sys.stderr)
         return 2
 
-    try:
-        sink = _OutputSink.create(args.out)
-        state = sol.state
-
-        sink.write_text(
-            "trajectory.csv",
-            _csv_text(
-                ("gamma", "t1", "t2", "x1", "x2"),
-                (
-                    [_fmt(g), _fmt(a), _fmt(b), _fmt(c), _fmt(d)]
-                    for g, a, b, c, d in zip(
-                        sol.gamma, state.t1, state.t2, state.x1, state.x2
-                    )
-                ),
+    # every state solve returns, converged or not, lies on the physical limit
+    state = sol.state
+    report = diagnose(state, cfg)
+    summary = {
+        "converged": sol.converged,
+        "grad_norm": sol.grad_norm,
+        "iterations": sol.iterations,
+        "t_final": float(state.t1[-1]),
+        "tdot_final": float(report.time_mesh_velocity[-1]),
+        "delta_e_end": report.delta_e_end,
+        "max_interior_delta_e": report.max_interior_delta_e,
+        "lambda": [float(v) for v in state.lam],
+    }
+    files = {
+        "trajectory.csv": _table(
+            _TRAJECTORY_HEADER, (sol.gamma, state.t1, state.t2, state.x1, state.x2)
+        ),
+        "diagnostics.csv": _table(
+            _DIAGNOSTICS_HEADER,
+            (
+                report.gamma,
+                report.t,
+                report.x,
+                report.time_mesh_velocity,
+                report.q_t,
+                report.delta_e,
+                report.delta_g_t,
+                report.delta_g_x,
+                report.h_bvp,
             ),
-        )
-
-        # diagnostics are computed on branch 1; skip the branch-coincidence
-        # check for non-converged states so the data still lands on disk
-        limit_tol = 1e-9 if sol.converged else np.inf
-        report = diagnose(state, cfg, limit_tol=limit_tol)
-        buf = io.StringIO()
-        report.write_csv(buf)
-        sink.write_text("diagnostics.csv", buf.getvalue())
-
-        summary = {
-            "converged": sol.converged,
-            "grad_norm": sol.grad_norm,
-            "iterations": sol.iterations,
-            "t_final": float(state.t1[-1]),
-            "tdot_final": float(report.time_mesh_velocity[-1]),
-            "delta_e_end": report.delta_e_end,
-            "max_interior_delta_e": report.max_interior_delta_e,
-            "lambda": [float(v) for v in state.lam],
-        }
-        sink.write_text(
-            "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n"
-        )
-        sink.finish("solve", args.config)
+        ),
+        "summary.json": _json(summary),
+    }
+    try:
+        _write_outputs(args.out, "solve", args.config, files)
     except OSError as exc:
         print(f"worldline solve: I/O error: {exc}", file=sys.stderr)
         return 3
     return exit_code
-
-
-_SWEEP_HEADER = (
-    "n",
-    "dgamma",
-    "eps_final_x",
-    "eps_final_t",
-    "eps_l2_x",
-    "eps_l2_t",
-    "delta_e_end",
-    "max_interior_delta_e",
-)
-
-
-def _sweep_rows_csv(rows) -> str:
-    return _csv_text(
-        _SWEEP_HEADER,
-        (
-            [str(r.n_gamma)] + [_fmt(getattr(r, name)) for name in _SWEEP_HEADER[1:]]
-            for r in rows
-        ),
-    )
 
 
 def cmd_sweep(args) -> int:
@@ -287,13 +284,13 @@ def cmd_sweep(args) -> int:
         print(f"worldline sweep: bad configuration: {exc}", file=sys.stderr)
         return 1
 
+    columns = [table.column("n_gamma"), *map(table.column, _SWEEP_HEADER[1:])]
+    files = {
+        "convergence.csv": _table(_SWEEP_HEADER, columns),
+        "fit.json": _json(fit_payload),
+    }
     try:
-        sink = _OutputSink.create(args.out)
-        sink.write_text("convergence.csv", _sweep_rows_csv(table.rows))
-        sink.write_text(
-            "fit.json", json.dumps(fit_payload, indent=2, sort_keys=True) + "\n"
-        )
-        sink.finish("sweep", args.config)
+        _write_outputs(args.out, "sweep", args.config, files)
     except OSError as exc:
         print(f"worldline sweep: I/O error: {exc}", file=sys.stderr)
         return 3

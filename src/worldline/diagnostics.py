@@ -14,9 +14,6 @@ reference trajectory.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,6 +40,8 @@ __all__ = [
 
 # Endpoints are excluded from "interior": zero-based indices 1 .. n-2.
 interior_slice = slice(1, -1)
+# largest branch gap diagnose accepts as the physical limit
+_LIMIT_TOL = 1e-9
 
 
 class NotFreePotential(ValueError):
@@ -185,33 +184,6 @@ def error_norms(t, x, t_ref, x_ref, h: np.ndarray) -> ErrorNorms:
     )
 
 
-_CSV_COLUMNS = (
-    "gamma",
-    "t",
-    "x",
-    "dt_dgamma",
-    "q_t",
-    "delta_e",
-    "delta_g_t",
-    "delta_g_x",
-    "h_bvp",
-)
-
-
-# The float format and CSV dialect of every file worldline writes.
-def _fmt(value: float) -> str:
-    # shortest round-trip decimal keeps output byte-deterministic
-    return repr(float(value))
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 @dataclass(frozen=True)
 class DiagnosticsReport:
     """Every per-point diagnostic of a solved trajectory plus error scalars."""
@@ -246,56 +218,24 @@ class DiagnosticsReport:
     def delta_e_end(self) -> float:
         return float(abs(self.delta_e[-1]))
 
-    def write_csv(self, f) -> None:
-        """One row per gamma index; columns as in ``_CSV_COLUMNS``."""
-        rows = zip(
-            self.gamma,
-            self.t,
-            self.x,
-            self.time_mesh_velocity,
-            self.q_t,
-            self.delta_e,
-            self.delta_g_t,
-            self.delta_g_x,
-            self.h_bvp,
-        )
-        f.write(_csv_text(_CSV_COLUMNS, ([_fmt(v) for v in row] for row in rows)))
-
-    def summary_dict(self) -> dict:
-        return {
-            "max_interior_delta_e": self.max_interior_delta_e,
-            "delta_e_end": self.delta_e_end,
-            "eps_final_x": self.eps_final_x,
-            "eps_final_t": self.eps_final_t,
-            "eps_l2_x": self.eps_l2_x,
-            "eps_l2_t": self.eps_l2_t,
-            "h_bvp_total": self.h_bvp_total,
-            "h_bvp_bound": self.h_bvp_bound,
-        }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary_dict(), sort_keys=True)
-
 
 def diagnose(
     state: StateVector,
     cfg: ProblemConfig,
     reference: Sequence[np.ndarray] | None = None,
-    *,
-    limit_tol: float = 1e-9,
 ) -> DiagnosticsReport:
     """Assemble the full report from a solved state.
 
-    The two branches must agree to ``limit_tol`` (the physical limit);
+    The two branches must agree to 1e-9 (the physical limit);
     all profiles are then computed from branch 1.  ``reference``, when
     given, is a pair (t_ref, x_ref) sampled on the same gamma grid, or any
     object with callables ``t`` and ``x``.
     """
     gap_t = float(np.max(np.abs(state.t1 - state.t2)))
     gap_x = float(np.max(np.abs(state.x1 - state.x2)))
-    if max(gap_t, gap_x) > limit_tol:
+    if max(gap_t, gap_x) > _LIMIT_TOL:
         raise PhysicalLimitViolation(
-            f"branches differ by {max(gap_t, gap_x):.3e} (tolerance {limit_tol:.1e})"
+            f"branches differ by {max(gap_t, gap_x):.3e} (tolerance {_LIMIT_TOL:.1e})"
         )
 
     t, x = state.t1, state.x1

@@ -256,7 +256,6 @@ def _row_from_solution(cfg, sol: Solution, oracle, oracle_gamma) -> ConvergenceR
 def convergence_study(
     cfg: ProblemConfig,
     n_list,
-    order: str | None = None,
     *,
     tol: float = 1e-14,
     opts: SolveOptions | None = None,
@@ -272,8 +271,6 @@ def convergence_study(
         raise ValueError("a convergence study needs at least three grids")
     if sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
         raise ValueError("n_list must be strictly ascending")
-    if order is not None:
-        cfg = replace(cfg, order=order)
 
     oracle = solve_geodesic_ode(cfg, tol)
     configs = [replace(cfg, n_gamma=n) for n in n_list]
@@ -293,8 +290,9 @@ def _geodesic_seed(cfg: ProblemConfig) -> StateVector:
     Every cell takes the same whole number of sub-steps, at least
     4 tdot_i (gamma_f - gamma_i) in all, so a sub-step spans at most about
     a quarter time unit however far tdot_i stretches the window.  Reaching
-    g00 <= 0 raises StepFailure; an overflowing path falls back to the
-    straight line, whose cold solve then reports the failure.
+    g00 <= 0 raises StepFailure.  The first sub-step that overflows ends
+    the seed at once with the straight line, whose cold solve then reports
+    the failure.
     """
     n, rhs = cfg.n_gamma, _geodesic_rhs(cfg)
     sub = math.ceil(4.0 * cfg.tdot_i * (cfg.gamma_f - cfg.gamma_i) / (n - 1))
@@ -315,8 +313,8 @@ def _geodesic_seed(cfg: ProblemConfig) -> StateVector:
                         "the trajectory reaches g00 <= 0 near gamma = "
                         f"{cfg.gamma_i + k * cfg.dgamma:.3g}"
                     )
-            if not np.all(np.isfinite(y)):
-                return initial_guess(cfg)
+                if not np.all(np.isfinite(y)):
+                    return initial_guess(cfg)
             path[k] = y
     t, x = path[:, 0], path[:, 2]
     return StateVector(t1=t, t2=t.copy(), x1=x, x2=x.copy(), lam=np.zeros(8))

@@ -20,7 +20,7 @@ The solve stops on one of two tests.  The gradient test passes once
 ||grad||_2 <= grad_tol * (1 + ||z||_inf) (``termination == "converged"``).
 At large n the gradient's rounding floor can lie above that bound, so the
 solve also stops at the floor (``termination == "roundoff_floor"``): when
-a nearly undamped step (mu <= lm_damping_init) is tiny,
+a nearly undamped step (mu at most its initial 1e-8) is tiny,
 ||dz||_inf <= sqrt(eps) * (1 + ||z||_inf), and the full step still fails
 the Armijo test, the full-step iterate is returned.  In the quadratic
 region such a step leaves an error of about eps, so a full step that
@@ -54,7 +54,13 @@ __all__ = [
     "continuation_solve",
 ]
 
+# Levenberg damping starts at _LM_DAMPING_INIT and gives up above
+# _MAX_DAMPING.  Backtracking shrinks the step by _LS_SHRINK, down to
+# _MIN_STEP, until the Armijo test with slope factor _LS_DECREASE passes.
+_LM_DAMPING_INIT = 1e-8
 _MAX_DAMPING = 1e12
+_LS_SHRINK = 0.5
+_LS_DECREASE = 1e-4
 _MIN_STEP = 1e-14
 _SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 
@@ -76,13 +82,13 @@ class SingularSystem(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Termination and globalization parameters.
+    """Termination parameters.
 
     ``grad_tol`` is a relative factor: the solve stops once
     ||grad||_2 <= grad_tol * (1 + ||state||_inf), which keeps refinement
     sweeps comparable as operator norms grow with the grid.  A solve whose
     gradient floor lies above that bound stops at the floor instead: once a
-    step damped by at most ``lm_damping_init`` is below
+    step damped by at most the initial damping (1e-8) is below
     sqrt(eps) * (1 + ||state||_inf) and its full length fails the Armijo
     test, the full-step iterate is returned with
     ``termination == "roundoff_floor"``.
@@ -90,19 +96,11 @@ class SolveOptions:
 
     grad_tol: float = 1e-12
     max_iter: int = 200
-    lm_damping_init: float = 1e-8
-    ls_shrink: float = 0.5
-    ls_decrease: float = 1e-4
 
     def __post_init__(self):
         # an infinite grad_tol would accept the initial guess as converged
-        for name in ("grad_tol", "lm_damping_init"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        # with ls_shrink >= 1 backtracking never falls below _MIN_STEP
-        for name in ("ls_shrink", "ls_decrease"):
-            if not 0 < getattr(self, name) < 1:
-                raise ValueError(f"{name} must lie strictly between 0 and 1")
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be positive and finite")
         if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer >= 1")
 
@@ -175,7 +173,7 @@ def solve(
         raise InvalidConfig("guess does not match the configured grid")
     z = replace(s, t2=s.t1, x2=s.x1, lam=np.append(np.zeros(4), s.lam[4:])).pack()
 
-    mu = opts.lm_damping_init
+    mu = _LM_DAMPING_INIT
     grad = action.gradient(StateVector.unpack(z, n))
     grad_norm = float(np.linalg.norm(grad))
     if not np.isfinite(grad_norm):
@@ -215,7 +213,7 @@ def solve(
                         f"Newton system singular at damping {mu:.1e}"
                     ) from None
         at_floor = (
-            mu <= opts.lm_damping_init
+            mu <= _LM_DAMPING_INIT
             and float(np.max(np.abs(step))) <= _SQRT_EPS * z_scale
         )
 
@@ -227,14 +225,14 @@ def solve(
             z_trial = z + alpha * step
             grad_trial = action.gradient(StateVector.unpack(z_trial, n))
             norm_trial = float(np.linalg.norm(grad_trial))
-            if norm_trial ** 2 <= (1.0 - opts.ls_decrease * alpha) * merit:
+            if norm_trial ** 2 <= (1.0 - _LS_DECREASE * alpha) * merit:
                 accepted = True
                 break
             if at_floor and np.isfinite(norm_trial):
                 # a tiny full step that cannot lower the merit: rounding floor
                 history.append(norm_trial)
                 return result(z_trial, norm_trial, iterations + 1, True, "roundoff_floor")
-            alpha *= opts.ls_shrink
+            alpha *= _LS_SHRINK
 
         if accepted:
             z, grad, grad_norm = z_trial, grad_trial, norm_trial

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from worldline.cli import main
+import worldline as wl
+from worldline.cli import _table, main
 
 
 @pytest.fixture()
@@ -57,6 +59,18 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def run_cli(*argv, timeout=120):
+    """Run ``worldline.cli`` in a fresh interpreter on this checkout's source."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "worldline.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        timeout=timeout,
+    )
+
+
 def test_solve_linear_outputs(linear_config, tmp_path):
     out = tmp_path / "run"
     assert main(["solve", "--config", str(linear_config), "--out", str(out)]) == 0
@@ -82,6 +96,45 @@ def test_solve_linear_outputs(linear_config, tmp_path):
         "summary.json",
         "manifest.json",
     }
+
+
+def test_report_csv_round_trip(linear_config, tmp_path):
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(linear_config), "--out", str(out)]) == 0
+    header, rows = read_csv(out / "diagnostics.csv")
+    assert header == [
+        "gamma", "t", "x", "dt_dgamma", "q_t", "delta_e", "delta_g_t", "delta_g_x", "h_bvp",
+    ]
+    cfg = wl.ProblemConfig.from_json(linear_config.read_text())
+    report = wl.diagnose(wl.solve(cfg).state, cfg)
+    expected = np.column_stack(
+        [
+            report.gamma,
+            report.t,
+            report.x,
+            report.time_mesh_velocity,
+            report.q_t,
+            report.delta_e,
+            report.delta_g_t,
+            report.delta_g_x,
+            report.h_bvp,
+        ]
+    )
+    parsed = np.array([[float(v) for v in row] for row in rows])
+    np.testing.assert_array_equal(parsed, expected)
+
+
+def test_table_matches_csv_writer_on_edge_values():
+    # csv.writer over repr(float) is the reference; integer columns stay integers
+    floats = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.8e308, 0.1, -1 / 3]
+    ints = list(range(len(floats)))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["n", "value"])
+    writer.writerows([str(i), repr(float(v))] for i, v in zip(ints, floats))
+    assert _table(("n", "value"), (np.array(ints), np.array(floats))) == buf.getvalue()
+    assert _table(("n", "value"), (ints, floats)) == buf.getvalue()
+    assert _table(("n", "value"), ([], [])) == "n,value\n"
 
 
 def test_solve_free_charges_constant(free_config, tmp_path):
@@ -197,6 +250,17 @@ def test_singular_system_exits_2_without_files(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_sweep_scale_tdot_overflow_exits_2_fast_without_files(quartic_config, tmp_path):
+    # at tdot_i = 1e300 the geodesic seed overflows on its first sub-step of
+    # ~6e298 per cell; it must fall back to the straight line right there
+    out = tmp_path / "o"
+    argv = ["sweep", "--config", str(quartic_config), "--out", str(out)]
+    result = run_cli(*argv, "--n-list", "16,32,64", "--scale-tdot", "1,4,1e300", timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == b"worldline sweep: gradient norm nan at the initial guess\n"
+    assert not out.exists()
+
+
 def test_sweep_oracle_failure_exits_2_without_files(tmp_path, capsys):
     # a refinement sweep runs the reference integrator before any solve, and
     # its step size collapses in the huge metric
@@ -290,15 +354,8 @@ def test_sweep_exact_column_writes_strict_json_and_no_warning(tmp_path):
     # the free particle at zero velocity has eps_x = 0 on every grid
     config = tmp_path / "rest.json"
     config.write_text('{"potential": {"type": "free"}, "n_gamma": 16, "xdot_i": 0.0}')
-    root = Path(__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     argv = ["sweep", "--config", str(config), "--n-list", "16,32,64", "--out", str(tmp_path / "o")]
-    result = subprocess.run(
-        [sys.executable, "-m", "worldline.cli", *argv],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        timeout=120,
-    )
+    result = run_cli(*argv)
     assert (result.returncode, result.stderr) == (0, b"")
 
     def reject(constant):
@@ -423,8 +480,6 @@ def test_help_documents_csv_schemas(capsys):
 def test_repeated_main_matches_fresh_processes(quartic_config, tmp_path):
     # one process runs main several times on the parser it built once; every
     # run must behave as it does in an interpreter of its own
-    root = Path(__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
     runs = [
         (["solve", "--config", str(quartic_config), "--max-iter", "many"], None),
         (["solve", "--config", str(quartic_config), "--out", str(tmp_path / "s")], "s"),
@@ -440,12 +495,7 @@ def test_repeated_main_matches_fresh_processes(quartic_config, tmp_path):
 
     fresh = []
     for argv, name in runs:
-        result = subprocess.run(
-            [sys.executable, "-m", "worldline.cli", *argv],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            timeout=120,
-        )
+        result = run_cli(*argv)
         fresh.append((result.returncode, files(name) if name else None))
         if name:
             for p in (tmp_path / name).iterdir():

@@ -1,6 +1,10 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+import worldline
 
 MODULES = ("action", "cli", "diagnostics", "reference", "sbp", "solver")
 
@@ -10,3 +14,21 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(f"worldline.{name}")
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # an underscore name belongs to its module; a sibling that needs it
+    # should get a public name or own the code itself
+    found = []
+    for path in sorted(Path(worldline.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            sibling = isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "worldline"
+            )
+            if sibling:
+                found += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert found == []

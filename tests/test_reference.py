@@ -212,7 +212,7 @@ def test_fit_refused_below_three_points(linear_cfg):
 
 
 def test_convergence_study_order_override(linear_cfg):
-    table = wl.convergence_study(linear_cfg, [16, 32, 64], order="sbp42")
+    table = wl.convergence_study(replace(linear_cfg, order="sbp42"), [16, 32, 64])
     fits = table.fit_exponents()
     assert fits["eps_l2_x"]["beta"] > 2.5
 

@@ -123,6 +123,11 @@ def test_non_convergence_carries_best_iterate():
     assert best.termination == "max_iter"
     assert best.grad_norm > 0
     assert best.state.n == 32
+    # the best iterate lies on the physical limit bit for bit, so diagnose
+    # (and the CLI, which writes its files) accepts it
+    np.testing.assert_array_equal(best.state.t2, best.state.t1)
+    np.testing.assert_array_equal(best.state.x2, best.state.x1)
+    np.testing.assert_array_equal(best.state.lam[:4], np.zeros(4))
 
 
 def test_solve_options_validation():
@@ -132,20 +137,12 @@ def test_solve_options_validation():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError):
             wl.SolveOptions(grad_tol=bad)
-        with pytest.raises(ValueError):
-            wl.SolveOptions(lm_damping_init=bad)
     with pytest.raises(ValueError):
         wl.SolveOptions(max_iter=0)
-    # with ls_shrink >= 1 backtracking never gives up; both factors lie in (0, 1)
-    for bad in (0.0, 1.0, 1.5, -0.5):
-        with pytest.raises(ValueError):
-            wl.SolveOptions(ls_shrink=bad)
-        with pytest.raises(ValueError):
-            wl.SolveOptions(ls_decrease=bad)
     for bad in (-1, 2.5, 20.0):
         with pytest.raises(ValueError):
             wl.SolveOptions(max_iter=bad)
-    wl.SolveOptions(ls_shrink=0.9, ls_decrease=0.5, max_iter=1)
+    wl.SolveOptions(max_iter=1)
 
 
 def test_non_finite_hessian_raises_without_damping_retries():
