@@ -2,10 +2,10 @@
 
 Discretizes the world-line action of a point particle in a potential with
 summation-by-parts operators, doubles the degrees of freedom to make the
-variational problem causal, and finds the critical point with a damped
-Newton method.  The continuum time-translation symmetry survives the
-discretization, so the associated conserved charge stays exactly constant
-in the interior of the simulated window.
+variational problem causal, and finds the critical point with Newton's
+method and a backtracking line search.  The continuum time-translation
+symmetry survives the discretization, so the associated conserved charge
+stays exactly constant in the interior of the simulated window.
 """
 
 from .action import (

@@ -134,9 +134,9 @@ def custom_potential(v, dv, d2v=None, label="custom") -> Potential:
 
 
 _POTENTIAL_BUILDERS = {
-    "free": lambda params: free_potential(),
-    "linear": lambda params: linear_potential(params["alpha"]),
-    "quartic": lambda params: quartic_potential(params["kappa"]),
+    "free": free_potential,
+    "linear": linear_potential,
+    "quartic": quartic_potential,
 }
 
 
@@ -232,7 +232,7 @@ class ProblemConfig:
         try:
             pot_spec = dict(data["potential"])
             pot_type = pot_spec.pop("type")
-            potential = _POTENTIAL_BUILDERS[pot_type](pot_spec)
+            potential = _POTENTIAL_BUILDERS[pot_type](**pot_spec)
         except (KeyError, TypeError) as exc:
             raise InvalidConfig(f"bad potential specification: {exc}") from exc
         kwargs = {k: v for k, v in data.items() if k != "potential"}

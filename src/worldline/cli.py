@@ -7,12 +7,12 @@ timestamps appear anywhere.  Every run writes a manifest listing the
 emitted files with their SHA-256 checksums.
 
 Exit codes: 0 success, 1 configuration or flag error, 2 solver
-non-convergence, a singular Newton system, or in ``sweep`` a failed
-reference integration or a ``--scale-tdot`` run reaching g00 <= 0, 3 I/O
-error.  On non-convergence ``solve`` still writes its files, flagged as
+non-convergence (the iteration cap or a stalled line search), a singular
+Newton system, or in ``sweep`` a failed reference integration or a
+``--scale-tdot`` run reaching g00 <= 0, 3 I/O error.  On non-convergence ``solve`` still writes its files, flagged as
 not converged; on a singular system (a non-finite gradient or Hessian, or
-a system no damping makes solvable) it writes none, as there is no finite
-iterate.  ``sweep`` writes none on exit code 2.
+a zero pivot in the Newton system's band LU) it writes none, as there is
+no usable iterate.  ``sweep`` writes none on exit code 2.
 """
 
 from __future__ import annotations

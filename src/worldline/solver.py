@@ -1,10 +1,10 @@
-"""Damped Newton search for the critical point of the discrete action.
+"""Newton search for the critical point of the discrete action.
 
 The critical point is a saddle, so the action is never minimized directly.
 Instead the stationarity system grad E = 0 is solved by Newton's method
-with Levenberg damping, using ||grad E||^2 as the line-search merit: the
-saddle becomes the global minimum of the merit, and every accepted step
-decreases it.
+with Armijo backtracking on the merit ||grad E||^2: the saddle becomes the
+merit's global minimum, the Newton step descends it with slope
+-2 ||grad E||^2 (Nocedal & Wright, ch. 11), and every accepted step lowers it.
 
 Each step solves the half-size physical-limit system R H P, the one
 Hessian ``DiscreteAction.hessian`` assembles (from branch 1, in band
@@ -13,19 +13,20 @@ x2 = x1, lam_1..lam_4 = 0: every iterate lies on that limit, where branch
 2's rows of grad E are -(branch 1's) and the lam_5..lam_8 rows vanish, so
 the lifted step is the doubled Newton step.  LAPACK's band LU ``dgbsv``
 factors it in O(n) (kl/ku = 8/2 for sbp21, 14/6 for sbp42).  A gradient
-or Hessian that is not finite ends the solve with ``SingularSystem`` at
-once, since no damping can repair it.
+or Hessian that is not finite, or a singular factorisation, ends the solve
+with ``SingularSystem`` at once.
 
 The solve stops on one of two tests.  The gradient test passes once
 ||grad||_2 <= grad_tol * (1 + ||z||_inf) (``termination == "converged"``).
 At large n the gradient's rounding floor can lie above that bound, so the
 solve also stops at the floor (``termination == "roundoff_floor"``): when
-a nearly undamped step (mu at most its initial 1e-8) is tiny,
-||dz||_inf <= sqrt(eps) * (1 + ||z||_inf), and the full step still fails
-the Armijo test, the full-step iterate is returned.  In the quadratic
-region such a step leaves an error of about eps, so a full step that
-cannot lower the merit means the gradient is rounding noise
-(Dennis & Schnabel, ch. 7).  Both count as converged.
+the Newton step is tiny, ||dz||_inf <= sqrt(eps) * (1 + ||z||_inf), and
+the full step still fails the Armijo test, the full-step iterate is
+returned.  In the quadratic region such a step leaves an error of about
+eps, so a full step that cannot lower the merit means the gradient is
+rounding noise (Dennis & Schnabel, ch. 7).  Both count as converged.  A
+line search that finds no step length down to ``_MIN_STEP`` raises
+``NonConvergence`` (``termination == "stalled"``).
 """
 
 from __future__ import annotations
@@ -54,11 +55,8 @@ __all__ = [
     "continuation_solve",
 ]
 
-# Levenberg damping starts at _LM_DAMPING_INIT and gives up above
-# _MAX_DAMPING.  Backtracking shrinks the step by _LS_SHRINK, down to
-# _MIN_STEP, until the Armijo test with slope factor _LS_DECREASE passes.
-_LM_DAMPING_INIT = 1e-8
-_MAX_DAMPING = 1e12
+# Backtracking shrinks the step by _LS_SHRINK, down to _MIN_STEP, until
+# the Armijo test with slope factor _LS_DECREASE passes.
 _LS_SHRINK = 0.5
 _LS_DECREASE = 1e-4
 _MIN_STEP = 1e-14
@@ -66,18 +64,22 @@ _SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 class NonConvergence(RuntimeError):
-    """Newton ran out of iterations; ``solution`` holds the best iterate."""
+    """Newton stopped short of the tests; ``solution`` holds the last iterate.
+
+    Its ``termination`` is ``"max_iter"`` when the iteration cap was hit and
+    ``"stalled"`` when a line search found no step that lowers the merit.
+    """
 
     def __init__(self, solution: "Solution"):
         self.solution = solution
         super().__init__(
             f"no convergence after {solution.iterations} iterations "
-            f"(best gradient norm {solution.grad_norm:.3e})"
+            f"({solution.termination}, gradient norm {solution.grad_norm:.3e})"
         )
 
 
 class SingularSystem(RuntimeError):
-    """The Newton system is not finite, or not solvable at maximal damping."""
+    """The Newton system is not finite, or its band LU has a zero pivot."""
 
 
 @dataclass(frozen=True)
@@ -88,9 +90,8 @@ class SolveOptions:
     ||grad||_2 <= grad_tol * (1 + ||state||_inf), which keeps refinement
     sweeps comparable as operator norms grow with the grid.  A solve whose
     gradient floor lies above that bound stops at the floor instead: once a
-    step damped by at most the initial damping (1e-8) is below
-    sqrt(eps) * (1 + ||state||_inf) and its full length fails the Armijo
-    test, the full-step iterate is returned with
+    Newton step is below sqrt(eps) * (1 + ||state||_inf) and its full
+    length fails the Armijo test, the full-step iterate is returned with
     ``termination == "roundoff_floor"``.
     """
 
@@ -109,12 +110,13 @@ class SolveOptions:
 class Solution:
     """Result of a critical-point search.
 
-    ``termination`` says why a converged solve stopped: ``"converged"``
-    when the gradient test passed, ``"roundoff_floor"`` when the step test
-    at the rounding floor did.  In the latter case the last entry of
+    ``termination`` says why the solve stopped: ``"converged"`` when the
+    gradient test passed, ``"roundoff_floor"`` when the step test at the
+    rounding floor did.  In the latter case the last entry of
     ``grad_history`` is the floor iterate's gradient norm, which need not
-    be below the one before it.  The best iterate carried by
-    ``NonConvergence`` has ``"max_iter"`` or ``"max_damping"``.
+    be below the one before it.  The last iterate carried by
+    ``NonConvergence`` has ``"max_iter"`` or ``"stalled"``; since every
+    accepted step lowers the merit, it is also the best one.
     """
 
     state: StateVector
@@ -134,12 +136,10 @@ def initial_guess(cfg: ProblemConfig) -> StateVector:
     return StateVector(t1=t, t2=t.copy(), x1=x, x2=x.copy(), lam=np.zeros(8))
 
 
-def _newton_step(hess: BandedHessian, grad: np.ndarray, mu: float) -> np.ndarray:
-    """Solve the damped half-size system (R H P + mu I) y = -R grad, lifted."""
-    ab = hess.ab.copy()
-    ab[hess.kl + hess.ku] += mu
+def _newton_step(hess: BandedHessian, grad: np.ndarray) -> np.ndarray:
+    """Solve the half-size system R H P y = -R grad and lift y to both branches."""
     _, _, y, info = scipy.linalg.lapack.dgbsv(
-        hess.kl, hess.ku, ab, -hess.restrict(grad), overwrite_ab=True, overwrite_b=True
+        hess.kl, hess.ku, hess.ab, -hess.restrict(grad), overwrite_b=True
     )
     if info != 0 or not np.all(np.isfinite(y)):
         raise np.linalg.LinAlgError("singular or non-finite Newton step")
@@ -159,10 +159,10 @@ def solve(
 
     The guess is projected onto the physical limit (t2 := t1, x2 := x1,
     lam_1..lam_4 := 0) first, so it returns the same state as its
-    projection.  Raises NonConvergence when the iteration cap is hit (the
-    exception carries the best iterate) and SingularSystem when the gradient
-    norm or a Hessian entry is not finite, or the damped system cannot be
-    factorized at any damping level.
+    projection.  Raises NonConvergence when the iteration cap is hit or a
+    line search stalls (the exception carries the last iterate), and
+    SingularSystem when the gradient norm or a Hessian entry is not finite,
+    or the Newton system is singular.
     """
     opts = opts or SolveOptions()
     action = DiscreteAction(cfg)
@@ -173,13 +173,11 @@ def solve(
         raise InvalidConfig("guess does not match the configured grid")
     z = replace(s, t2=s.t1, x2=s.x1, lam=np.append(np.zeros(4), s.lam[4:])).pack()
 
-    mu = _LM_DAMPING_INIT
     grad = action.gradient(StateVector.unpack(z, n))
     grad_norm = float(np.linalg.norm(grad))
     if not np.isfinite(grad_norm):
         raise SingularSystem(f"gradient norm {grad_norm} at the initial guess")
     history = [grad_norm]
-    best_z, best_norm, iterations = z, grad_norm, 0
 
     def result(z, grad_norm, iterations, converged, termination="converged"):
         return Solution(
@@ -202,52 +200,32 @@ def solve(
         hess = action.hessian(StateVector.unpack(z, n))
         if not np.all(np.isfinite(hess.ab)):
             raise SingularSystem(f"non-finite Hessian at iteration {iterations}")
-        while True:
-            try:
-                step = _newton_step(hess, grad, mu)
-                break
-            except np.linalg.LinAlgError:
-                mu = max(mu, 1e-10) * 100.0
-                if mu > _MAX_DAMPING:
-                    raise SingularSystem(
-                        f"Newton system singular at damping {mu:.1e}"
-                    ) from None
-        at_floor = (
-            mu <= _LM_DAMPING_INIT
-            and float(np.max(np.abs(step))) <= _SQRT_EPS * z_scale
-        )
+        try:
+            step = _newton_step(hess, grad)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystem(f"{exc} at iteration {iterations}") from None
+        at_floor = float(np.max(np.abs(step))) <= _SQRT_EPS * z_scale
 
         # backtracking on the squared gradient norm
         merit = grad_norm ** 2
         alpha = 1.0
-        accepted = False
-        while alpha >= _MIN_STEP:
+        while True:
             z_trial = z + alpha * step
             grad_trial = action.gradient(StateVector.unpack(z_trial, n))
             norm_trial = float(np.linalg.norm(grad_trial))
             if norm_trial ** 2 <= (1.0 - _LS_DECREASE * alpha) * merit:
-                accepted = True
                 break
             if at_floor and np.isfinite(norm_trial):
                 # a tiny full step that cannot lower the merit: rounding floor
                 history.append(norm_trial)
                 return result(z_trial, norm_trial, iterations + 1, True, "roundoff_floor")
             alpha *= _LS_SHRINK
+            if alpha < _MIN_STEP:
+                raise NonConvergence(result(z, grad_norm, iterations, False, "stalled"))
+        z, grad, grad_norm = z_trial, grad_trial, norm_trial
+        history.append(grad_norm)
 
-        if accepted:
-            z, grad, grad_norm = z_trial, grad_trial, norm_trial
-            history.append(grad_norm)
-            mu *= 0.25
-            if grad_norm < best_norm:
-                best_z, best_norm = z, grad_norm
-        else:
-            # flat or ascending direction: retry with stronger damping
-            mu = max(mu, 1e-10) * 100.0
-            if mu > _MAX_DAMPING:
-                break
-
-    stop = "max_damping" if mu > _MAX_DAMPING else "max_iter"
-    raise NonConvergence(result(best_z, best_norm, iterations, False, stop))
+    raise NonConvergence(result(z, grad_norm, iterations, False, "max_iter"))
 
 
 def continuation_solve(

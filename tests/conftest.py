@@ -17,6 +17,19 @@ else:
     settings.load_profile("worldline")
 
 
+# the straight-line guess lies so far outside Newton's basin that the first
+# line search finds no step length that lowers the merit
+STALLING_CONFIG = {
+    "potential": {"type": "quartic", "kappa": 0.4},
+    "order": "sbp21",
+    "n_gamma": 16,
+    "tdot_i": 4.0,
+    "xdot_i": -3.0,
+    "x_i": 0.0,
+    "gamma_f": 2.0,
+}
+
+
 def fd_gradient(action, z, n):
     """Central-difference gradient of the action value."""
     z = np.asarray(z, dtype=float)

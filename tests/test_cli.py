@@ -12,6 +12,7 @@ import pytest
 
 import worldline as wl
 from worldline.cli import _table, main
+from conftest import STALLING_CONFIG
 
 
 @pytest.fixture()
@@ -182,6 +183,8 @@ def test_solve_bad_config_exits_1(tmp_path):
         {"gamma_f": float("inf")},
         {"potential": {"type": "quartic", "kappa": float("nan")}},
         {"potential": {"type": "linear", "alpha": None}},
+        {"potential": {"type": "quartic", "kappa": 0.5, "alpha": 0.3}},
+        {"potential": {"type": "free", "kappa": 0.5}},
     ],
 )
 def test_malformed_config_value_exits_1(tmp_path, capsys, command, field):
@@ -211,6 +214,17 @@ def test_solve_non_convergence_exits_2_with_files(quartic_config, tmp_path):
     assert code == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is False
+    assert (out / "trajectory.csv").exists()
+
+
+def test_solve_stalled_line_search_exits_2_with_files(tmp_path):
+    config = tmp_path / "stall.json"
+    config.write_text(json.dumps(STALLING_CONFIG))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is False
+    assert summary["iterations"] == 0
     assert (out / "trajectory.csv").exists()
 
 
