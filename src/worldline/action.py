@@ -68,7 +68,7 @@ class InvalidConfig(ValueError):
 class Potential:
     """Scalar potential with first and second derivatives.
 
-    ``v``, ``dv`` and ``d2v`` accept scalars or arrays elementwise.  The
+    ``v``, ``dv`` and ``d2v`` act elementwise on a float or a float array.  The
     label doubles as the serialization type tag; ``params`` holds the
     named coefficients of the built-in families.
     """
@@ -101,7 +101,7 @@ def linear_potential(alpha: float) -> Potential:
     """V = alpha * x, a constant force."""
     alpha = _finite_coefficient("alpha", alpha)
     return Potential(
-        v=lambda x: alpha * np.asarray(x, dtype=float),
+        v=lambda x: alpha * x,
         dv=lambda x: np.full_like(np.asarray(x, dtype=float), alpha),
         d2v=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         label="linear",
@@ -113,9 +113,9 @@ def quartic_potential(kappa: float) -> Potential:
     """V = kappa * x^4, strongly anharmonic."""
     kappa = _finite_coefficient("kappa", kappa)
     return Potential(
-        v=lambda x: kappa * np.asarray(x, dtype=float) ** 4,
-        dv=lambda x: 4.0 * kappa * np.asarray(x, dtype=float) ** 3,
-        d2v=lambda x: 12.0 * kappa * np.asarray(x, dtype=float) ** 2,
+        v=lambda x: kappa * x ** 4,
+        dv=lambda x: 4.0 * kappa * x ** 3,
+        d2v=lambda x: 12.0 * kappa * x ** 2,
         label="quartic",
         params={"kappa": kappa},
     )
@@ -295,9 +295,10 @@ class StateVector:
         )
 
 
-# The metric and its x-derivatives, elementwise on a scalar or an array x.
-# The geodesic oracle calls them per right-hand-side evaluation, so they
-# add no conversion of their own.
+# The metric and its x-derivatives, elementwise on a float or a float array x.
+# The geodesic oracle calls them on Python floats in every right-hand-side
+# evaluation, so they add no conversion of their own; the quartic potential
+# and the linear V keep a Python float a Python float.
 def metric_g00(x, cfg: ProblemConfig):
     """Temporal metric component g00 = c^2 + 2 V(x)/m."""
     return cfg.c ** 2 + 2.0 * cfg.potential.v(x) / cfg.m

@@ -87,7 +87,7 @@ class _Trajectory:
         profile = 0.5 * (self.g00 * self.dt * self.dt + self.dx * self.dx)
         total = float(self.op.h @ profile)
         span = float(self.t[-1] - self.t[0])
-        bound = float(metric_g00(self.cfg.x_i, self.cfg)) * self.cfg.tdot_i * span
+        bound = continuum_charge_t(self.cfg) * span
         return HBvpDiagnostic(profile=profile, total=total, bound=bound)
 
 
@@ -98,7 +98,8 @@ def noether_charge_t(t, x, cfg: ProblemConfig) -> np.ndarray:
 
 def continuum_charge_t(cfg: ProblemConfig) -> float:
     """The continuum value of the charge, fixed by the initial data."""
-    return cfg.tdot_i * float(metric_g00(cfg.x_i, cfg))
+    # g00(x_i) as an array takes numpy's power loop, as the profile g00(x) does
+    return cfg.tdot_i * float(metric_g00(np.asarray(cfg.x_i, dtype=float), cfg))
 
 
 def charge_deviation(t, x, cfg: ProblemConfig) -> np.ndarray:

@@ -12,16 +12,19 @@ the variational scheme:
 Agreement between the two after reparametrization validates the oracle
 itself.  Both run scipy's DOP853 with no step cap, so the tolerance alone
 sets the step count, and read positions from its 7th-order dense output
-(Hairer, Norsett & Wanner, Solving ODEs I, section II.10).
+(Hairer, Norsett & Wanner, Solving ODEs I, section II.10).  The per-step
+interpolants are stacked into arrays once and evaluated in one vectorised
+pass that reproduces scipy's values bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .action import ProblemConfig, StateVector, metric_g00, metric_g00_prime
 from .diagnostics import diagnose
@@ -43,6 +46,9 @@ __all__ = [
 
 # scipy refuses relative tolerances below ~100 machine epsilons
 _RTOL_FLOOR = 2.5e-14
+# RK4 sub-steps the geodesic seed may take: at four per time unit, a window
+# tdot_i (gamma_f - gamma_i) of up to ~25000, and a few seconds of work
+_SEED_MAX_SUBSTEPS = 100_000
 
 
 class StepFailure(RuntimeError):
@@ -83,6 +89,31 @@ def _run_ivp(rhs, span, y0, tol, events=None):
     return sol
 
 
+def _dense_output(sol):
+    """Evaluator of DOP853's per-step interpolants, stacked into arrays once.
+
+    One vectorised pass gives scipy's values bit for bit: the same segment
+    (the earlier step at a step boundary, clipped at the ends) and the same
+    Horner order.  Shape (dim,) for a scalar t, (dim, len(t)) for an array.
+    """
+    steps, ts = sol.sol.interpolants, sol.sol.ts
+    t_old, h = np.array([s.t_old for s in steps]), np.array([s.h for s in steps])
+    coeffs = np.stack([s.F for s in steps])  # (steps, 7, dim)
+    y_old = np.stack([s.y_old for s in steps])
+
+    def evaluate(t):
+        t = np.asarray(t)
+        seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(steps) - 1)
+        x = ((t - t_old[seg]) / h[seg])[..., None]
+        y = np.zeros_like(y_old[seg])
+        for i, f in enumerate(np.moveaxis(coeffs[seg], -2, 0)[::-1]):
+            y += f
+            y *= x if i % 2 == 0 else 1 - x
+        return (y + y_old[seg]).T
+
+    return evaluate
+
+
 @dataclass(frozen=True)
 class ReferenceTrajectory:
     """Geodesic solution samples (t, x, tdot, xdot over gamma), dense in t and x."""
@@ -92,7 +123,7 @@ class ReferenceTrajectory:
     x_samples: np.ndarray
     tdot_samples: np.ndarray
     xdot_samples: np.ndarray
-    _dense: OdeSolution
+    _dense: Callable
 
     def t(self, gamma):
         return self._dense(gamma)[0]
@@ -102,11 +133,18 @@ class ReferenceTrajectory:
 
 
 def _geodesic_rhs(cfg: ProblemConfig):
-    def rhs(_gamma, y):
-        t, td, x, xd = y
+    def terms(t, td, x, xd):
         g00 = metric_g00(x, cfg)
         g00p = metric_g00_prime(x, cfg)
         return (td, -(g00p / g00) * xd * td, xd, -0.5 * g00p * td * td)
+
+    def rhs(_gamma, y):
+        # Python floats are ~5x cheaper than numpy scalars but raise on overflow
+        # in ** and on division by zero, where numpy gives inf or nan
+        try:
+            return terms(*y.tolist())
+        except (OverflowError, ZeroDivisionError):
+            return terms(*y)
 
     return rhs
 
@@ -114,23 +152,10 @@ def _geodesic_rhs(cfg: ProblemConfig):
 def solve_geodesic_ode(cfg: ProblemConfig, tol: float = 1e-12) -> ReferenceTrajectory:
     """Integrate the geodesic system over [gamma_i, gamma_f]."""
     _check_tol(tol)
-    rhs = _geodesic_rhs(cfg)
-    sol = _run_ivp(
-        rhs,
-        (cfg.gamma_i, cfg.gamma_f),
-        (cfg.t_i, cfg.tdot_i, cfg.x_i, cfg.xdot_i),
-        tol,
-    )
-    gamma = sol.t
+    span, y0 = (cfg.gamma_i, cfg.gamma_f), (cfg.t_i, cfg.tdot_i, cfg.x_i, cfg.xdot_i)
+    sol = _run_ivp(_geodesic_rhs(cfg), span, y0, tol)
     t, td, x, xd = sol.y
-    return ReferenceTrajectory(
-        gamma_samples=gamma,
-        t_samples=t,
-        x_samples=x,
-        tdot_samples=td,
-        xdot_samples=xd,
-        _dense=sol.sol,
-    )
+    return ReferenceTrajectory(sol.t, t, x, td, xd, _dense_output(sol))
 
 
 @dataclass(frozen=True)
@@ -140,7 +165,7 @@ class PhysicalTrajectory:
     t_samples: np.ndarray
     x_samples: np.ndarray
     v_samples: np.ndarray
-    _dense: OdeSolution
+    _dense: Callable
 
     def x(self, t):
         return self._dense(t)[0]
@@ -173,11 +198,7 @@ def solve_physical_eom(
     near_lightspeed.terminal = True
 
     sol = _run_ivp(
-        rhs,
-        (cfg.t_i, t_final),
-        (cfg.x_i, cfg.v_init),
-        tol,
-        events=near_lightspeed,
+        rhs, (cfg.t_i, t_final), (cfg.x_i, cfg.v_init), tol, events=near_lightspeed
     )
     if sol.status == 1:
         raise SuperluminalVelocity(
@@ -185,7 +206,7 @@ def solve_physical_eom(
         )
     x, u = sol.y
     return PhysicalTrajectory(
-        t_samples=sol.t, x_samples=x, v_samples=u, _dense=sol.sol
+        t_samples=sol.t, x_samples=x, v_samples=u, _dense=_dense_output(sol)
     )
 
 
@@ -244,7 +265,7 @@ class ConvergenceTable:
 
 def _row_from_solution(cfg, sol: Solution, oracle, oracle_gamma) -> ConvergenceRow:
     # oracle_gamma: the oracle's parameter at each grid point; one pass over
-    # the dense-output segments yields both t and x
+    # the dense output yields both t and x
     t_ref, _, x_ref, _ = oracle._dense(oracle_gamma)
     report = diagnose(sol.state, cfg, (t_ref, x_ref))
     measures = (*_ERROR_COLUMNS, "delta_e_end", "max_interior_delta_e")
@@ -290,9 +311,9 @@ def _geodesic_seed(cfg: ProblemConfig) -> StateVector:
     Every cell takes the same whole number of sub-steps, at least
     4 tdot_i (gamma_f - gamma_i) in all, so a sub-step spans at most about
     a quarter time unit however far tdot_i stretches the window.  Reaching
-    g00 <= 0 raises StepFailure.  The first sub-step that overflows ends
-    the seed at once with the straight line, whose cold solve then reports
-    the failure.
+    g00 <= 0, or a sub-step past _SEED_MAX_SUBSTEPS, raises StepFailure.
+    The first sub-step that overflows ends the seed at once with the
+    straight line, whose cold solve then reports the failure.
     """
     n, rhs = cfg.n_gamma, _geodesic_rhs(cfg)
     sub = math.ceil(4.0 * cfg.tdot_i * (cfg.gamma_f - cfg.gamma_i) / (n - 1))
@@ -302,7 +323,12 @@ def _geodesic_seed(cfg: ProblemConfig) -> StateVector:
     path[0] = y
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, n):
-            for _ in range(sub):
+            for j in range(sub):
+                if (k - 1) * sub + j >= _SEED_MAX_SUBSTEPS:
+                    raise StepFailure(
+                        "window too long: the geodesic seed needs more than "
+                        f"{_SEED_MAX_SUBSTEPS} RK4 sub-steps"
+                    )
                 k1 = np.array(rhs(None, y))
                 k2 = np.array(rhs(None, y + 0.5 * h * k1))
                 k3 = np.array(rhs(None, y + 0.5 * h * k2))

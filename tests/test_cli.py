@@ -275,6 +275,20 @@ def test_sweep_scale_tdot_overflow_exits_2_fast_without_files(quartic_config, tm
     assert not out.exists()
 
 
+def test_sweep_scale_tdot_long_window_exits_2_fast_without_files(quartic_config, tmp_path):
+    # tdot_i = 1e8 stays finite but would take the geodesic seed ~4e8 RK4
+    # sub-steps; it must give up at its sub-step cap instead
+    out = tmp_path / "o"
+    argv = ["sweep", "--config", str(quartic_config), "--out", str(out)]
+    result = run_cli(*argv, "--n-list", "16,32,64", "--scale-tdot", "1,4,1e8", timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == (
+        b"worldline sweep: window too long: the geodesic seed needs more than "
+        b"100000 RK4 sub-steps\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_oracle_failure_exits_2_without_files(tmp_path, capsys):
     # a refinement sweep runs the reference integrator before any solve, and
     # its step size collapses in the huge metric

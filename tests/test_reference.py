@@ -81,6 +81,46 @@ def test_oracle_dense_output_error(cfg_fixture, tdot, request):
         assert np.max(np.abs(traj.x(gamma) - x_ref)) <= bound
 
 
+def _captured_runs(monkeypatch):
+    # the scipy solutions the oracles build their trajectories from
+    runs = []
+
+    def run_ivp(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    real = reference._run_ivp
+    monkeypatch.setattr(reference, "_run_ivp", run_ivp)
+    return runs
+
+
+def _probe_points(samples, lo, hi):
+    # every step boundary, both ends and interior points, in shuffled order
+    rng = np.random.default_rng(7)
+    points = np.concatenate([samples, [lo, hi], np.linspace(lo, hi, 101)])
+    return rng.permutation(points)
+
+
+@pytest.mark.parametrize("cfg_fixture", ["linear_cfg", "quartic_cfg"])
+def test_dense_output_is_scipys_bit_for_bit(cfg_fixture, request, monkeypatch):
+    cfg = request.getfixturevalue(cfg_fixture)
+    runs = _captured_runs(monkeypatch)
+    geo = wl.solve_geodesic_ode(cfg, 1e-12)
+    t_end = float(geo.t_samples[-1])
+    phys = wl.solve_physical_eom(cfg, 1e-12, t_final=t_end)
+    geo_sol, phys_sol = (run.sol for run in runs)
+
+    gamma = _probe_points(geo.gamma_samples, cfg.gamma_i, cfg.gamma_f)
+    np.testing.assert_array_equal(geo.t(gamma), geo_sol(gamma)[0])
+    np.testing.assert_array_equal(geo.x(gamma), geo_sol(gamma)[2])
+    t = _probe_points(phys.t_samples, cfg.t_i, t_end)
+    np.testing.assert_array_equal(phys.x(t), phys_sol(t)[0])
+    for g in (cfg.gamma_i, 0.37, cfg.gamma_f):
+        assert geo.t(g) == geo_sol(g)[0] and np.shape(geo.t(g)) == ()
+        assert geo.x(g) == geo_sol(g)[2] and np.shape(geo.x(g)) == ()
+    assert phys.x(0.37) == phys_sol(0.37)[0] and np.shape(phys.x(0.37)) == ()
+
+
 def test_oracle_step_count_set_by_tolerance(quartic_cfg):
     # a step cap of span/512 would force at least 512 steps here
     traj = wl.solve_geodesic_ode(quartic_cfg, 1e-12)
@@ -162,7 +202,7 @@ def test_superluminal_velocity_detected():
 def test_step_collapse_reported_as_stiffness():
     # an inverted quartic drives g00 = 1 - 2 x^4 through zero at finite x,
     # where tdot diverges and the step size collapses
-    cfg = wl.ProblemConfig(
+    inverted = wl.ProblemConfig(
         potential=wl.quartic_potential(-1.0),
         n_gamma=8,
         x_i=0.8,
@@ -170,10 +210,16 @@ def test_step_collapse_reported_as_stiffness():
         tdot_i=1.0,
         gamma_f=5.0,
     )
-    with pytest.raises(wl.StiffnessSuspected):
-        wl.solve_geodesic_ode(cfg, 1e-10)
-    with pytest.raises(wl.StepFailure):  # subclass relation
-        wl.solve_geodesic_ode(cfg, 1e-10)
+    # x_i^4 overflows a Python float, which raises where numpy returns inf:
+    # the right-hand side must fall back to numpy and let the step collapse
+    overflowing = wl.ProblemConfig(
+        potential=wl.quartic_potential(0.5), n_gamma=8, x_i=1e78
+    )
+    for cfg in (inverted, overflowing):
+        with pytest.raises(wl.StiffnessSuspected, match="^Required step size"):
+            wl.solve_geodesic_ode(cfg, 1e-10)
+        with pytest.raises(wl.StepFailure):  # subclass relation
+            wl.solve_geodesic_ode(cfg, 1e-10)
 
 
 def test_convergence_study_requires_three_ascending_grids(linear_cfg):
