@@ -25,11 +25,12 @@ entries, so no n x n matrix is formed.
 
 The answer lies on the physical limit t2 = t1, x2 = x1, lam_1..lam_4 = 0,
 where branch 2's gradient rows are -(branch 1's) and the lam_5..lam_8 rows
-vanish.  So the only Hessian built is R H P, the 2n + 4 physical-limit
-matrix: rows lam_1..lam_4, then (t1, x1) point by point; columns (t1, x1)
-point by point, then lam_5..lam_8.  No entry of those rows lies in a
-branch-2 column, so ``hessian`` assembles it from branch 1 alone, straight
-into LAPACK band storage (kl/ku = 8/2 for sbp21, 14/6 for sbp42).
+vanish.  There ``residual``, the branch-1 kernel that ``gradient`` calls
+once per branch, is R grad E: rows lam_1..lam_4, then (t1, x1) point by
+point.  The only Hessian built is R H P, with those rows and the columns
+(t1, x1) point by point, then lam_5..lam_8.  It has no branch-2 column, so
+``hessian`` assembles it from branch 1 alone, straight into LAPACK band
+storage (kl/ku = 8/2 for sbp21, 14/6 for sbp42).
 """
 
 from __future__ import annotations
@@ -319,9 +320,10 @@ class BandedHessian:
     """R H P in LAPACK general-band storage.
 
     Entry (i, j) sits at ``ab[kl + ku + i - j, j]``; the first ``kl`` rows
-    are the room ``dgbsv`` needs for the fill-in of partial pivoting.  Rows
-    are lam_1..lam_4, then (t1, x1) point by point; columns are (t1, x1)
-    point by point, then lam_5..lam_8.
+    are the room ``dgbsv`` needs for the fill-in of partial pivoting, and
+    ``ab`` is column-major, so ``dgbsv`` can factor it in place.  Rows are
+    lam_1..lam_4, then (t1, x1) point by point; columns are (t1, x1) point
+    by point, then lam_5..lam_8.
     """
 
     ab: np.ndarray
@@ -371,6 +373,9 @@ class DiscreteAction:
         self.x_init = cfg.x_i
         self.xdot_init = cfg.xdot_i
         self._jac = self.constraint_jacobian()
+        # its branch-1 columns, (t1, x1) point by point
+        jac1 = self._jac.reshape(8, 4, self.n)[:, ::2].transpose(0, 2, 1)
+        self._jac1 = jac1.reshape(8, 2 * self.n)
         self._band_pattern()
 
     def _band_pattern(self) -> None:
@@ -403,9 +408,9 @@ class DiscreteAction:
             (4 + x[k], t[i], m, n + k),
         ]
 
-        # the constraint Jacobian on (t1, x1) point by point: rows
-        # lam_1..lam_4 of R H P, and its columns lam_5..lam_8 transposed
-        jac = self._jac.reshape(8, 4, n)[:, ::2].transpose(0, 2, 1).reshape(8, 2 * n)
+        # the constraint Jacobian on (t1, x1): rows lam_1..lam_4 of R H P,
+        # and its columns lam_5..lam_8 transposed
+        jac = self._jac1
         r, c = np.nonzero(jac[:4])
         terms.append((r, c, jac[r, c], np.full(r.size, const)))
         r, c = np.nonzero(jac[4:])
@@ -414,8 +419,9 @@ class DiscreteAction:
         rows, cols, self._coef, self._weight = map(np.concatenate, zip(*terms))
         self.kl = int(np.max(rows - cols))
         self.ku = int(np.max(cols - rows))
-        self._band_shape = (2 * self.kl + self.ku + 1, 2 * n + 4)
-        self._slot = (self.kl + self.ku + rows - cols) * (2 * n + 4) + cols
+        # column-major slots: each column's band rows are contiguous
+        self._ldab = 2 * self.kl + self.ku + 1
+        self._slot = cols * self._ldab + self.kl + self.ku + rows - cols
 
     def _check(self, s: StateVector) -> None:
         if s.n != self.n:
@@ -423,22 +429,25 @@ class DiscreteAction:
                 f"state has {s.n} grid points but the action expects {self.n}"
             )
 
-    def _branches(self, s: StateVector):
-        yield 1.0, s.t1, s.x1
-        yield -1.0, s.t2, s.x2
+    def _initial_residuals(self, t, x) -> list:
+        """The residuals of lam_1..lam_4 for the coordinates t, x."""
+        d_first = self._jac[1, : self.n]  # row 0 of D
+        return [
+            t[0] - self.t_init,
+            d_first @ t - self.tdot_init,
+            x[0] - self.x_init,
+            d_first @ x - self.xdot_init,
+        ]
 
     def constraints(self, s: StateVector) -> np.ndarray:
         """The eight multiplier residuals, in order lam_1..lam_8."""
         self._check(s)
-        # rows 0 and n-1 of D; each residual takes its own dot products, so
+        # row n-1 of D; each residual takes its own dot products, so
         # (D t1)[-1] - (D t2)[-1] rounds as a difference of two end values
-        d_first, d_last = self._jac[1, : self.n], self._jac[6, : self.n]
+        d_last = self._jac[6, : self.n]
         return np.array(
             [
-                s.t1[0] - self.t_init,
-                d_first @ s.t1 - self.tdot_init,
-                s.x1[0] - self.x_init,
-                d_first @ s.x1 - self.xdot_init,
+                *self._initial_residuals(s.t1, s.x1),
                 s.t1[-1] - s.t2[-1],
                 s.x1[-1] - s.x2[-1],
                 d_last @ s.t1 - d_last @ s.t2,
@@ -449,7 +458,7 @@ class DiscreteAction:
     def value(self, s: StateVector) -> float:
         self._check(s)
         total = 0.0
-        for sign, t, x in self._branches(s):
+        for sign, t, x in ((1.0, s.t1, s.x1), (-1.0, s.t2, s.x2)):
             wt = self.reg_t.apply(t)
             wx = self.reg_x.apply(x)
             g00 = metric_g00(x, self.cfg)
@@ -458,21 +467,30 @@ class DiscreteAction:
             )
         return float(total + np.dot(s.lam, self.constraints(s)))
 
-    def gradient(self, s: StateVector) -> np.ndarray:
-        self._check(s)
-        grad = np.empty((4, self.n))  # t1, t2, x1, x2
-        for b, (sign, t, x) in enumerate(self._branches(s)):
-            wt = self.reg_t.apply(t)
-            wx = self.reg_x.apply(x)
-            g00 = metric_g00(x, self.cfg)
-            gp = metric_g00_prime(x, self.cfg)
-            grad[b] = sign * self.reg_t.apply_t(g00 * self.h * wt)
-            grad[2 + b] = sign * (
-                0.5 * gp * self.h * wt * wt - self.reg_x.apply_t(self.h * wx)
-            )
+    def residual(self, t, x, lam) -> np.ndarray:
+        """Branch 1's rows of grad E at t1 = t, x1 = x: lam_1..lam_4, then (t1, x1).
 
-        coord_grad = grad.ravel() + self._jac.T @ s.lam
-        return np.concatenate([coord_grad, self.constraints(s)])
+        At a lift (t2 = t1, x2 = x1, lam_1..lam_4 = 0) this is R grad E, and
+        ||grad E||^2 = ||r[:4]||^2 + 2 ||r[4:]||^2.
+        """
+        wt = self.reg_t.apply(t)
+        wx = self.reg_x.apply(x)
+        g00 = metric_g00(x, self.cfg)
+        gp = metric_g00_prime(x, self.cfg)
+        r = np.empty(2 * self.n + 4)
+        r[:4] = self._initial_residuals(t, x)
+        r[4:] = lam @ self._jac1
+        r[4::2] += self.reg_t.apply_t(g00 * self.h * wt)
+        r[5::2] += 0.5 * gp * self.h * wt * wt - self.reg_x.apply_t(self.h * wx)
+        return r
+
+    def gradient(self, s: StateVector) -> np.ndarray:
+        """grad E in pack order; branch 2 meets lam_5..lam_8 only, with sign -1."""
+        self._check(s)
+        r1 = self.residual(s.t1, s.x1, s.lam)
+        r2 = -self.residual(s.t2, s.x2, np.append(np.zeros(4), s.lam[4:]))
+        coord = (r1[4::2], r2[4::2], r1[5::2], r2[5::2])
+        return np.concatenate([*coord, self.constraints(s)])
 
     def constraint_jacobian(self) -> np.ndarray:
         """8 x 4n Jacobian of the constraints w.r.t. the coordinate blocks."""
@@ -498,7 +516,6 @@ class DiscreteAction:
             [1.0],
         ]
         values = self._coef * np.concatenate(weights)[self._weight]
-        ab = np.bincount(
-            self._slot, weights=values, minlength=np.prod(self._band_shape)
-        )
-        return BandedHessian(ab.reshape(self._band_shape), self.kl, self.ku)
+        size = 2 * self.n + 4
+        ab = np.bincount(self._slot, weights=values, minlength=size * self._ldab)
+        return BandedHessian(ab.reshape(size, self._ldab).T, self.kl, self.ku)

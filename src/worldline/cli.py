@@ -39,8 +39,9 @@ _SOLVE_EPILOG = """\
 output files:
   trajectory.csv   columns: gamma,t1,t2,x1,x2
   diagnostics.csv  columns: gamma,t,x,dt_dgamma,q_t,delta_e,delta_g_t,delta_g_x,h_bvp
-  summary.json     keys: converged, grad_norm, iterations, t_final, tdot_final,
-                   delta_e_end, max_interior_delta_e, lambda
+  summary.json     keys: converged, termination, grad_norm, iterations, t_final,
+                   tdot_final, delta_e_end, max_interior_delta_e, lambda;
+                   termination is converged, roundoff_floor, max_iter or stalled
   manifest.json    emitted files with sha256 checksums
 """
 
@@ -216,6 +217,7 @@ def cmd_solve(args) -> int:
     report = diagnose(state, cfg)
     summary = {
         "converged": sol.converged,
+        "termination": sol.termination,
         "grad_norm": sol.grad_norm,
         "iterations": sol.iterations,
         "t_final": float(state.t1[-1]),

@@ -71,6 +71,10 @@ def _check_tol(tol: float) -> None:
 def _run_ivp(rhs, span, y0, tol, events=None):
     # a blow-up surfaces as sol.success == False, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # DOP853 never leaves a start point with a non-finite derivative: its
+        # step size turns into nan and the step loop spins
+        if not np.all(np.isfinite(rhs(span[0], np.asarray(y0, dtype=float)))):
+            raise StepFailure("the right-hand side is not finite at the initial point")
         sol = solve_ivp(
             rhs,
             span,

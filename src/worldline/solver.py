@@ -6,21 +6,22 @@ with Armijo backtracking on the merit ||grad E||^2: the saddle becomes the
 merit's global minimum, the Newton step descends it with slope
 -2 ||grad E||^2 (Nocedal & Wright, ch. 11), and every accepted step lowers it.
 
-Each step solves the half-size physical-limit system R H P, the one
-Hessian ``DiscreteAction.hessian`` assembles (from branch 1, in band
-storage).  Its 2n + 4 unknowns (t1, x1, lam_5..lam_8) lift to t2 = t1,
-x2 = x1, lam_1..lam_4 = 0: every iterate lies on that limit, where branch
-2's rows of grad E are -(branch 1's) and the lam_5..lam_8 rows vanish, so
-the lifted step is the doubled Newton step.  LAPACK's band LU ``dgbsv``
-factors it in O(n) (kl/ku = 8/2 for sbp21, 14/6 for sbp42).  A gradient
-or Hessian that is not finite, or a singular factorisation, ends the solve
-with ``SingularSystem`` at once.
+Newton iterates on y = ((t1, x1) point by point, lam_5..lam_8), the 2n + 4
+unknowns of the physical limit t2 = t1, x2 = x1, lam_1..lam_4 = 0.  There
+branch 2's rows of grad E are -(branch 1's) and the lam_5..lam_8 rows vanish,
+so one branch-1 kernel, ``DiscreteAction.residual``, gives r = R grad E at
+each trial point, and ||grad E||^2 = ||r_lam||^2 + 2 ||r_coord||^2.  Each
+step solves R H P dy = -r, the one Hessian ``DiscreteAction.hessian``
+assembles, with LAPACK's band LU ``dgbsv`` in place, in O(n) (kl/ku = 8/2
+for sbp21, 14/6 for sbp42).  y is lifted to a ``StateVector`` only for the
+Hessian and the returned ``Solution``.  A gradient or Hessian that is not
+finite, or a singular factorisation, ends the solve with ``SingularSystem``.
 
 The solve stops on one of two tests.  The gradient test passes once
-||grad||_2 <= grad_tol * (1 + ||z||_inf) (``termination == "converged"``).
+||grad||_2 <= grad_tol * (1 + ||y||_inf) (``termination == "converged"``).
 At large n the gradient's rounding floor can lie above that bound, so the
 solve also stops at the floor (``termination == "roundoff_floor"``): when
-the Newton step is tiny, ||dz||_inf <= sqrt(eps) * (1 + ||z||_inf), and
+the Newton step is tiny, ||dy||_inf <= sqrt(eps) * (1 + ||y||_inf), and
 the full step still fails the Armijo test, the full-step iterate is
 returned.  In the quadratic region such a step leaves an error of about
 eps, so a full step that cannot lower the merit means the gradient is
@@ -31,7 +32,8 @@ line search that finds no step length down to ``_MIN_STEP`` raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -136,14 +138,20 @@ def initial_guess(cfg: ProblemConfig) -> StateVector:
     return StateVector(t1=t, t2=t.copy(), x1=x, x2=x.copy(), lam=np.zeros(8))
 
 
-def _newton_step(hess: BandedHessian, grad: np.ndarray) -> np.ndarray:
-    """Solve the half-size system R H P y = -R grad and lift y to both branches."""
-    _, _, y, info = scipy.linalg.lapack.dgbsv(
-        hess.kl, hess.ku, hess.ab, -hess.restrict(grad), overwrite_b=True
+def _newton_step(hess: BandedHessian, r: np.ndarray) -> np.ndarray:
+    """Solve R H P dy = -r; the band LU overwrites ``hess.ab``."""
+    _, _, dy, info = scipy.linalg.lapack.dgbsv(
+        hess.kl, hess.ku, hess.ab, -r, overwrite_ab=True, overwrite_b=True
     )
-    if info != 0 or not np.all(np.isfinite(y)):
+    if info != 0 or not np.all(np.isfinite(dy)):
         raise np.linalg.LinAlgError("singular or non-finite Newton step")
-    return hess.lift(y)
+    return dy
+
+
+def _lift(y: np.ndarray) -> StateVector:
+    """The state t2 = t1, x2 = x1, lam_1..lam_4 = 0 of the unknowns ``y``."""
+    t, x, lam = y[:-4:2], y[1:-4:2], np.append(np.zeros(4), y[-4:])
+    return StateVector(t1=t, t2=t.copy(), x1=x, x2=x.copy(), lam=lam)
 
 
 # Overflow and NaN are handled explicitly: the line search rejects a
@@ -157,12 +165,12 @@ def solve(
 ) -> Solution:
     """Find the critical point of the discrete action for ``cfg``.
 
-    The guess is projected onto the physical limit (t2 := t1, x2 := x1,
-    lam_1..lam_4 := 0) first, so it returns the same state as its
-    projection.  Raises NonConvergence when the iteration cap is hit or a
-    line search stalls (the exception carries the last iterate), and
-    SingularSystem when the gradient norm or a Hessian entry is not finite,
-    or the Newton system is singular.
+    Only the guess's t1, x1 and lam_5..lam_8 are read: it is restricted to
+    the physical limit, so it returns the same state as its projection
+    (t2 := t1, x2 := x1, lam_1..lam_4 := 0).  Raises NonConvergence when
+    the iteration cap is hit or a line search stalls (the exception carries
+    the last iterate), and SingularSystem when the gradient norm or a
+    Hessian entry is not finite, or the Newton system is singular.
     """
     opts = opts or SolveOptions()
     action = DiscreteAction(cfg)
@@ -171,17 +179,22 @@ def solve(
     s = guess if guess is not None else initial_guess(cfg)
     if s.n != n:
         raise InvalidConfig("guess does not match the configured grid")
-    z = replace(s, t2=s.t1, x2=s.x1, lam=np.append(np.zeros(4), s.lam[4:])).pack()
+    y = np.empty(2 * n + 4)
+    y[:-4:2], y[1:-4:2], y[-4:] = s.t1, s.x1, s.lam[4:]
 
-    grad = action.gradient(StateVector.unpack(z, n))
-    grad_norm = float(np.linalg.norm(grad))
+    def residual(y):
+        """R grad E at the lift of y, and the doubled system's ||grad E||."""
+        r = action.residual(y[:-4:2], y[1:-4:2], np.append(np.zeros(4), y[-4:]))
+        return r, math.sqrt(r[:4] @ r[:4] + 2.0 * (r[4:] @ r[4:]))
+
+    r, grad_norm = residual(y)
     if not np.isfinite(grad_norm):
         raise SingularSystem(f"gradient norm {grad_norm} at the initial guess")
     history = [grad_norm]
 
-    def result(z, grad_norm, iterations, converged, termination="converged"):
+    def result(y, grad_norm, iterations, converged, termination="converged"):
         return Solution(
-            state=StateVector.unpack(z, n),
+            state=_lift(y),
             gamma=cfg.gamma_grid,
             grad_norm=grad_norm,
             iterations=iterations,
@@ -191,41 +204,40 @@ def solve(
         )
 
     for iterations in range(opts.max_iter + 1):
-        z_scale = 1.0 + float(np.max(np.abs(z)))
-        if grad_norm <= opts.grad_tol * z_scale:
-            return result(z, grad_norm, iterations, True)
+        y_scale = 1.0 + float(np.max(np.abs(y)))
+        if grad_norm <= opts.grad_tol * y_scale:
+            return result(y, grad_norm, iterations, True)
         if iterations == opts.max_iter:
             break
 
-        hess = action.hessian(StateVector.unpack(z, n))
+        hess = action.hessian(_lift(y))
         if not np.all(np.isfinite(hess.ab)):
             raise SingularSystem(f"non-finite Hessian at iteration {iterations}")
         try:
-            step = _newton_step(hess, grad)
+            step = _newton_step(hess, r)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"{exc} at iteration {iterations}") from None
-        at_floor = float(np.max(np.abs(step))) <= _SQRT_EPS * z_scale
+        at_floor = float(np.max(np.abs(step))) <= _SQRT_EPS * y_scale
 
         # backtracking on the squared gradient norm
         merit = grad_norm ** 2
         alpha = 1.0
         while True:
-            z_trial = z + alpha * step
-            grad_trial = action.gradient(StateVector.unpack(z_trial, n))
-            norm_trial = float(np.linalg.norm(grad_trial))
+            y_trial = y + alpha * step
+            r_trial, norm_trial = residual(y_trial)
             if norm_trial ** 2 <= (1.0 - _LS_DECREASE * alpha) * merit:
                 break
             if at_floor and np.isfinite(norm_trial):
                 # a tiny full step that cannot lower the merit: rounding floor
                 history.append(norm_trial)
-                return result(z_trial, norm_trial, iterations + 1, True, "roundoff_floor")
+                return result(y_trial, norm_trial, iterations + 1, True, "roundoff_floor")
             alpha *= _LS_SHRINK
             if alpha < _MIN_STEP:
-                raise NonConvergence(result(z, grad_norm, iterations, False, "stalled"))
-        z, grad, grad_norm = z_trial, grad_trial, norm_trial
+                raise NonConvergence(result(y, grad_norm, iterations, False, "stalled"))
+        y, r, grad_norm = y_trial, r_trial, norm_trial
         history.append(grad_norm)
 
-    raise NonConvergence(result(z, grad_norm, iterations, False, "max_iter"))
+    raise NonConvergence(result(y, grad_norm, iterations, False, "max_iter"))
 
 
 def continuation_solve(

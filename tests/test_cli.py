@@ -77,6 +77,7 @@ def test_solve_linear_outputs(linear_config, tmp_path):
     assert main(["solve", "--config", str(linear_config), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is True
+    assert summary["termination"] == "converged"
     assert abs(summary["t_final"] - 1.0) < 0.05
     assert summary["max_interior_delta_e"] <= 1e-9
     assert summary["delta_e_end"] < 2e-3
@@ -214,6 +215,7 @@ def test_solve_non_convergence_exits_2_with_files(quartic_config, tmp_path):
     assert code == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is False
+    assert summary["termination"] == "max_iter"
     assert (out / "trajectory.csv").exists()
 
 
@@ -224,6 +226,7 @@ def test_solve_stalled_line_search_exits_2_with_files(tmp_path):
     assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is False
+    assert summary["termination"] == "stalled"
     assert summary["iterations"] == 0
     assert (out / "trajectory.csv").exists()
 
@@ -244,6 +247,7 @@ def test_solve_large_grid_stops_at_roundoff_floor(tmp_path):
     assert main(["solve", "--config", str(config), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["converged"] is True
+    assert summary["termination"] == "roundoff_floor"
     assert summary["iterations"] <= 10
     assert summary["max_interior_delta_e"] <= 1e-9
 
@@ -300,6 +304,24 @@ def test_sweep_oracle_failure_exits_2_without_files(tmp_path, capsys):
     # the blow-up is reported once, without numpy overflow warnings before it
     assert capsys.readouterr().err == (
         "worldline sweep: Required step size is less than spacing between numbers.\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("x_i", ["1e200", "5e102"])
+def test_sweep_non_finite_oracle_start_exits_2_without_files(tmp_path, x_i):
+    # g00'/g00 is inf/inf at x_i (at 5e102 through g00' overflowing); DOP853
+    # would spin on a nan step size, so the oracle must refuse to start
+    config = tmp_path / "far.json"
+    config.write_text(
+        f'{{"n_gamma": 16, "x_i": {x_i}, "potential": {{"type": "quartic", "kappa": 0.5}}}}'
+    )
+    out = tmp_path / "o"
+    argv = ["sweep", "--config", str(config), "--out", str(out), "--n-list", "8,16,32"]
+    result = run_cli(*argv, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == (
+        b"worldline sweep: the right-hand side is not finite at the initial point\n"
     )
     assert not out.exists()
 

@@ -9,7 +9,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
 import worldline as wl
-from worldline.action import metric_g00, metric_g00_prime, metric_g00_second
+from worldline.action import (
+    BandedHessian,
+    metric_g00,
+    metric_g00_prime,
+    metric_g00_second,
+)
 from worldline.sbp import MIN_POINTS
 from worldline.solver import _newton_step
 from conftest import physical_limit_indices
@@ -139,7 +144,7 @@ def test_banded_hessian_matches_dense_reference(grid, potential, seed):
     assert np.all(np.abs(dense - reference) <= 1e-12 * (1.0 + np.abs(reference)))
 
     grad = action.gradient(s)
-    step = _newton_step(hess, grad)
+    step = hess.lift(_newton_step(hess, hess.restrict(grad)))
     assert np.array_equal(step[n : 2 * n], step[:n])
     assert np.array_equal(step[3 * n : 4 * n], step[2 * n : 3 * n])
     assert np.all(step[4 * n : 4 * n + 4] == 0)
@@ -173,7 +178,50 @@ def test_half_size_step_solves_the_doubled_system_at_the_limit(grid, potential, 
     assert np.all(grad[-4:] == 0)
 
     dense = dense_hessian(action, s)
-    step = _newton_step(action.hessian(s), grad)
+    hess = action.hessian(s)
+    step = hess.lift(_newton_step(hess, hess.restrict(grad)))
     residual = np.max(np.abs(dense @ step + grad))
     scale = np.max(np.sum(np.abs(dense), axis=1)) * np.max(np.abs(step))
     assert residual <= 1e-14 * (scale + np.max(np.abs(grad)))
+
+
+@given(grid=grids, potential=potentials, seed=seeds)
+def test_residual_is_the_restricted_gradient_at_the_lift(grid, potential, seed):
+    # the Newton search evaluates only this branch-1 kernel; at a lifted
+    # state it must be R grad E, and carry the doubled gradient's norm
+    family, n = grid
+    cfg = wl.ProblemConfig(potential=potential, n_gamma=n, order=family)
+    action = wl.DiscreteAction(cfg)
+    rng = np.random.default_rng(seed)
+    guess = wl.initial_guess(cfg)
+    y = np.empty(2 * n + 4)
+    y[:-4:2] = guess.t1 + 0.3 * rng.standard_normal(n)
+    y[1:-4:2] = guess.x1 + 0.3 * rng.standard_normal(n)
+    y[-4:] = rng.standard_normal(4)
+    s = wl.StateVector.unpack(BandedHessian.lift(y), n)
+
+    r = action.residual(s.t1, s.x1, s.lam)
+    grad = action.gradient(s)
+    want = BandedHessian.restrict(grad)
+
+    # each row sums a few terms; compare against the size of those terms
+    m = np.abs(action.reg_t.dbar[:n, :n])  # |M|, the same for t and x
+    wt = m @ np.abs(s.t1) + np.abs(action.reg_t.shift0) * (np.arange(n) == 0)
+    wx = m @ np.abs(s.x1) + np.abs(action.reg_x.shift0) * (np.arange(n) == 0)
+    jac = np.abs(action.constraint_jacobian().reshape(8, 4, n)[:, ::2])
+    lam = np.abs(s.lam)
+    scale = np.empty(2 * n + 4)
+    scale[:4] = [
+        abs(s.t1[0]) + abs(cfg.t_i),
+        jac[1, 0] @ np.abs(s.t1) + abs(cfg.tdot_i),
+        abs(s.x1[0]) + abs(cfg.x_i),
+        jac[3, 1] @ np.abs(s.x1) + abs(cfg.xdot_i),
+    ]
+    g00 = np.abs(metric_g00(s.x1, cfg))
+    gp = np.abs(metric_g00_prime(s.x1, cfg))
+    scale[4::2] = m.T @ (g00 * action.h * wt) + lam @ jac[:, 0]
+    scale[5::2] = 0.5 * gp * action.h * wt * wt + m.T @ (action.h * wx) + lam @ jac[:, 1]
+    assert np.all(np.abs(r - want) <= 1e-14 * scale)
+
+    norm2 = r[:4] @ r[:4] + 2.0 * (r[4:] @ r[4:])
+    assert abs(grad @ grad - norm2) <= 1e-14 * norm2

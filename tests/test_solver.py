@@ -176,7 +176,7 @@ def test_zero_pivot_is_a_linalg_error():
     hess = action.hessian(s)
     singular = replace(hess, ab=np.zeros_like(hess.ab))
     with pytest.raises(np.linalg.LinAlgError):
-        _newton_step(singular, action.gradient(s))
+        _newton_step(singular, singular.restrict(action.gradient(s)))
 
 
 def test_singular_newton_system_raises_at_the_first_iteration(monkeypatch):
@@ -196,17 +196,46 @@ def test_singular_newton_system_raises_at_the_first_iteration(monkeypatch):
     assert len(calls) == 1
 
 
+@FAMILIES
+def test_solve_iterates_on_branch_one_only(monkeypatch, order):
+    # every trial point costs one residual; the doubled gradient and the
+    # restrict/lift maps stay off the path, and each iteration builds one
+    # Hessian
+    calls = dict.fromkeys(["gradient", "residual", "hessian", "restrict", "lift"], 0)
+
+    def count(owner, name, kind=lambda f: f):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, kind(counted))
+
+    for name in ("gradient", "residual", "hessian"):
+        count(wl.DiscreteAction, name)
+    for name in ("restrict", "lift"):
+        count(wl.action.BandedHessian, name, staticmethod)
+    cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=64, order=order)
+    sol = wl.solve(cfg)
+    assert sol.iterations > 0
+    assert calls["gradient"] == calls["restrict"] == calls["lift"] == 0
+    assert calls["hessian"] == sol.iterations
+    # every trial step is accepted here
+    assert calls["residual"] == len(sol.grad_history) == sol.iterations + 1
+
+
 def test_stalled_line_search_raises_non_convergence(monkeypatch):
     # measured: the first line search tries all 47 step lengths down to
-    # _MIN_STEP, 48 gradients in all, and ends the solve
+    # _MIN_STEP, 48 residuals in all, and ends the solve
     calls = []
-    gradient = wl.DiscreteAction.gradient
+    residual = wl.DiscreteAction.residual
 
-    def counted(self, state):
+    def counted(self, *args):
         calls.append(1)
-        return gradient(self, state)
+        return residual(self, *args)
 
-    monkeypatch.setattr(wl.DiscreteAction, "gradient", counted)
+    monkeypatch.setattr(wl.DiscreteAction, "residual", counted)
     cfg = wl.ProblemConfig.from_json_dict(STALLING_CONFIG)
     with pytest.raises(wl.NonConvergence, match="stalled") as err:
         wl.solve(cfg)
@@ -260,22 +289,23 @@ def test_roundoff_floor_is_a_newton_fixed_point():
     assert sol.termination == "roundoff_floor"
     # one more Newton step from the returned state moves it by rounding only
     action = wl.DiscreteAction(cfg)
-    step = _newton_step(action.hessian(sol.state), action.gradient(sol.state))
+    hess = action.hessian(sol.state)
+    step = hess.lift(_newton_step(hess, hess.restrict(action.gradient(sol.state))))
     z = sol.state.pack()
     assert np.max(np.abs(step)) <= _SQRT_EPS * (1.0 + np.max(np.abs(z)))
 
 
 def test_roundoff_floor_stops_without_backtracking(monkeypatch):
     # without the floor test the line search at the floor would backtrack
-    # up to 47 gradients toward the minimum step and end the solve stalled
+    # up to 47 residuals toward the minimum step and end the solve stalled
     calls = []
-    gradient = wl.DiscreteAction.gradient
+    residual = wl.DiscreteAction.residual
 
-    def counted(self, state):
+    def counted(self, *args):
         calls.append(1)
-        return gradient(self, state)
+        return residual(self, *args)
 
-    monkeypatch.setattr(wl.DiscreteAction, "gradient", counted)
+    monkeypatch.setattr(wl.DiscreteAction, "residual", counted)
     cfg = wl.ProblemConfig(potential=wl.linear_potential(0.25), n_gamma=1024, order="sbp42")
     sol = wl.solve(cfg)
     assert sol.termination == "roundoff_floor"
