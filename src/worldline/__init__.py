@@ -39,7 +39,6 @@ from .reference import (
     ConvergenceTable,
     PhysicalTrajectory,
     ReferenceTrajectory,
-    StepFailure,
     StiffnessSuspected,
     SuperluminalVelocity,
     convergence_study,
@@ -60,6 +59,7 @@ from .solver import (
     SingularSystem,
     Solution,
     SolveOptions,
+    StepFailure,
     continuation_solve,
     initial_guess,
     solve,

@@ -58,6 +58,7 @@ __all__ = [
     "metric_g00",
     "metric_g00_prime",
     "metric_g00_second",
+    "geodesic_rhs",
 ]
 
 
@@ -87,7 +88,7 @@ class Potential:
 
 def free_potential() -> Potential:
     """V = 0: flat metric, straight-line geodesics."""
-    zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    zero = lambda x: 0.0 * x ** 0
     return Potential(v=zero, dv=zero, d2v=zero, label="free")
 
 
@@ -103,8 +104,8 @@ def linear_potential(alpha: float) -> Potential:
     alpha = _finite_coefficient("alpha", alpha)
     return Potential(
         v=lambda x: alpha * x,
-        dv=lambda x: np.full_like(np.asarray(x, dtype=float), alpha),
-        d2v=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        dv=lambda x: alpha * x ** 0,
+        d2v=lambda x: 0.0 * x ** 0,
         label="linear",
         params={"alpha": alpha},
     )
@@ -297,9 +298,9 @@ class StateVector:
 
 
 # The metric and its x-derivatives, elementwise on a float or a float array x.
-# The geodesic oracle calls them on Python floats in every right-hand-side
-# evaluation, so they add no conversion of their own; the quartic potential
-# and the linear V keep a Python float a Python float.
+# The geodesic oracle and the Newton seed call them on Python floats, so they
+# add no conversion of their own, and the built-in potentials keep a float a
+# float (x ** 0 is 1 even at nan and inf, so alpha * x ** 0 is always alpha).
 def metric_g00(x, cfg: ProblemConfig):
     """Temporal metric component g00 = c^2 + 2 V(x)/m."""
     return cfg.c ** 2 + 2.0 * cfg.potential.v(x) / cfg.m
@@ -313,6 +314,13 @@ def metric_g00_prime(x, cfg: ProblemConfig):
 def metric_g00_second(x, cfg: ProblemConfig):
     """g00'' = 2 V''(x)/m."""
     return 2.0 * cfg.potential.d2v(x) / cfg.m
+
+
+def geodesic_rhs(y, cfg: ProblemConfig) -> tuple:
+    """d/dgamma of (t, tdot, x, xdot): (g00 tdot)' = 0, xddot = -(g00'/2) tdot^2."""
+    _, td, x, xd = y
+    g00p = metric_g00_prime(x, cfg)
+    return (td, -(g00p / metric_g00(x, cfg)) * xd * td, xd, -0.5 * g00p * td * td)
 
 
 @dataclass(frozen=True)

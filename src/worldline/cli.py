@@ -8,11 +8,11 @@ emitted files with their SHA-256 checksums.
 
 Exit codes: 0 success, 1 configuration or flag error, 2 solver
 non-convergence (the iteration cap or a stalled line search), a singular
-Newton system, or in ``sweep`` a failed reference integration or a
-``--scale-tdot`` run reaching g00 <= 0, 3 I/O error.  On non-convergence ``solve`` still writes its files, flagged as
-not converged; on a singular system (a non-finite gradient or Hessian, or
-a zero pivot in the Newton system's band LU) it writes none, as there is
-no usable iterate.  ``sweep`` writes none on exit code 2.
+Newton system, a geodesic seed reaching g00 <= 0 or too many steps, or in
+``sweep`` a failed reference integration, 3 I/O error.  On non-convergence
+``solve`` still writes its files, flagged as not converged; on a singular
+system (a non-finite gradient or Hessian, or a zero pivot in the band LU)
+or a failed seed it writes none.  ``sweep`` writes none on exit code 2.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import numpy as np
 
 from .action import InvalidConfig, ProblemConfig
 from .diagnostics import diagnose
-from .reference import StepFailure, convergence_study, scaled_tdot_study
+from .reference import convergence_study, scaled_tdot_study
 from .sbp import SIGMA0, build_operator, regularize
-from .solver import NonConvergence, SingularSystem, SolveOptions, solve
+from .solver import NonConvergence, SingularSystem, SolveOptions, StepFailure, solve
 
 __all__ = ["main"]
 
@@ -129,13 +129,8 @@ def _load_config(path: str) -> ProblemConfig:
 
 
 def _solve_options(args) -> SolveOptions:
-    opts = SolveOptions()
-    overrides = {}
-    if getattr(args, "tol", None) is not None:
-        overrides["grad_tol"] = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        overrides["max_iter"] = args.max_iter
-    return replace(opts, **overrides) if overrides else opts
+    given = {"grad_tol": args.tol, "max_iter": args.max_iter}
+    return SolveOptions(**{name: v for name, v in given.items() if v is not None})
 
 
 # The output format: floats as their shortest round-trip decimal (repr),
@@ -208,7 +203,7 @@ def cmd_solve(args) -> int:
     except NonConvergence as exc:
         sol = exc.solution
         exit_code = 2
-    except SingularSystem as exc:
+    except (SingularSystem, StepFailure) as exc:
         print(f"worldline solve: {exc}", file=sys.stderr)
         return 2
 

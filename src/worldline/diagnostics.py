@@ -14,7 +14,7 @@ reference trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -256,13 +256,7 @@ def diagnose(
             x_ref = reference.x(cfg.gamma_grid)
         else:
             t_ref, x_ref = reference
-        err = error_norms(t, x, t_ref, x_ref, tr.op.h)
-        eps = {
-            "eps_final_x": err.eps_final_x,
-            "eps_final_t": err.eps_final_t,
-            "eps_l2_x": err.eps_l2_x,
-            "eps_l2_t": err.eps_l2_t,
-        }
+        eps = asdict(error_norms(t, x, t_ref, x_ref, tr.op.h))
 
     return DiagnosticsReport(
         gamma=cfg.gamma_grid,

@@ -19,19 +19,17 @@ pass that reproduces scipy's values bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .action import ProblemConfig, StateVector, metric_g00, metric_g00_prime
+from .action import ProblemConfig, geodesic_rhs
 from .diagnostics import diagnose
-from .solver import SolveOptions, Solution, continuation_solve, initial_guess, solve
+from .solver import SolveOptions, Solution, StepFailure, solve
 
 __all__ = [
-    "StepFailure",
     "StiffnessSuspected",
     "SuperluminalVelocity",
     "ReferenceTrajectory",
@@ -46,13 +44,6 @@ __all__ = [
 
 # scipy refuses relative tolerances below ~100 machine epsilons
 _RTOL_FLOOR = 2.5e-14
-# RK4 sub-steps the geodesic seed may take: at four per time unit, a window
-# tdot_i (gamma_f - gamma_i) of up to ~25000, and a few seconds of work
-_SEED_MAX_SUBSTEPS = 100_000
-
-
-class StepFailure(RuntimeError):
-    """The adaptive integrator could not meet the requested tolerance."""
 
 
 class StiffnessSuspected(StepFailure):
@@ -137,18 +128,13 @@ class ReferenceTrajectory:
 
 
 def _geodesic_rhs(cfg: ProblemConfig):
-    def terms(t, td, x, xd):
-        g00 = metric_g00(x, cfg)
-        g00p = metric_g00_prime(x, cfg)
-        return (td, -(g00p / g00) * xd * td, xd, -0.5 * g00p * td * td)
-
     def rhs(_gamma, y):
         # Python floats are ~5x cheaper than numpy scalars but raise on overflow
         # in ** and on division by zero, where numpy gives inf or nan
         try:
-            return terms(*y.tolist())
+            return geodesic_rhs(y.tolist(), cfg)
         except (OverflowError, ZeroDivisionError):
-            return terms(*y)
+            return geodesic_rhs(y, cfg)
 
     return rhs
 
@@ -287,9 +273,9 @@ def convergence_study(
 ) -> ConvergenceTable:
     """Solve on a sequence of grids and tabulate errors against the oracle.
 
-    The coarsest grid is solved cold; every finer grid warm-starts from it.
-    The oracle runs at the tightest tolerance it accepts: the smallest
-    tabulated errors reach ~1e-10, and its own must stay far below them.
+    Each grid is an independent ``solve``.  The oracle runs at the tightest
+    tolerance it accepts: the smallest tabulated errors reach ~1e-10, and
+    its own must stay far below them.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3:
@@ -298,56 +284,11 @@ def convergence_study(
         raise ValueError("n_list must be strictly ascending")
 
     oracle = solve_geodesic_ode(cfg, tol)
-    configs = [replace(cfg, n_gamma=n) for n in n_list]
-
-    base = solve(configs[0], opts)
-    rows = [_row_from_solution(configs[0], base, oracle, configs[0].gamma_grid)]
-
-    for c in configs[1:]:
-        sol = continuation_solve(c, opts, base)
-        rows.append(_row_from_solution(c, sol, oracle, c.gamma_grid))
+    rows = []
+    for n in n_list:
+        c = replace(cfg, n_gamma=n)
+        rows.append(_row_from_solution(c, solve(c, opts), oracle, c.gamma_grid))
     return ConvergenceTable(rows=tuple(rows))
-
-
-def _geodesic_seed(cfg: ProblemConfig) -> StateVector:
-    """Newton guess: fixed-step RK4 of the geodesic system on the gamma grid.
-
-    Every cell takes the same whole number of sub-steps, at least
-    4 tdot_i (gamma_f - gamma_i) in all, so a sub-step spans at most about
-    a quarter time unit however far tdot_i stretches the window.  Reaching
-    g00 <= 0, or a sub-step past _SEED_MAX_SUBSTEPS, raises StepFailure.
-    The first sub-step that overflows ends the seed at once with the
-    straight line, whose cold solve then reports the failure.
-    """
-    n, rhs = cfg.n_gamma, _geodesic_rhs(cfg)
-    sub = math.ceil(4.0 * cfg.tdot_i * (cfg.gamma_f - cfg.gamma_i) / (n - 1))
-    h = cfg.dgamma / sub
-    y = np.array((cfg.t_i, cfg.tdot_i, cfg.x_i, cfg.xdot_i))
-    path = np.empty((n, 4))
-    path[0] = y
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(1, n):
-            for j in range(sub):
-                if (k - 1) * sub + j >= _SEED_MAX_SUBSTEPS:
-                    raise StepFailure(
-                        "window too long: the geodesic seed needs more than "
-                        f"{_SEED_MAX_SUBSTEPS} RK4 sub-steps"
-                    )
-                k1 = np.array(rhs(None, y))
-                k2 = np.array(rhs(None, y + 0.5 * h * k1))
-                k3 = np.array(rhs(None, y + 0.5 * h * k2))
-                k4 = np.array(rhs(None, y + h * k3))
-                y = y + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-                if metric_g00(y[2], cfg) <= 0:
-                    raise StepFailure(
-                        "the trajectory reaches g00 <= 0 near gamma = "
-                        f"{cfg.gamma_i + k * cfg.dgamma:.3g}"
-                    )
-                if not np.all(np.isfinite(y)):
-                    return initial_guess(cfg)
-            path[k] = y
-    t, x = path[:, 0], path[:, 2]
-    return StateVector(t1=t, t2=t.copy(), x1=x, x2=x.copy(), lam=np.zeros(8))
 
 
 def scaled_tdot_study(
@@ -362,12 +303,11 @@ def scaled_tdot_study(
 
     Raising tdot_i extends the simulated time window, so the rows probe
     how the endpoint charge deviation behaves on longer trajectories; no
-    common convergence exponent exists across them.  Each row is solved
-    cold from its geodesic seed.  The geodesic equations are invariant
-    under gamma -> gamma_i + s (gamma - gamma_i), so the row with
-    tdot_i = s is the tdot_i = 1 run stretched by s: one tdot_i = 1 oracle
-    over max(tdot_list) windows serves every row.  It runs after the
-    solves, so a row that cannot be solved is reported first.
+    common convergence exponent exists across them.  The geodesic
+    equations are invariant under gamma -> gamma_i + s (gamma - gamma_i),
+    so the row with tdot_i = s is the tdot_i = 1 run stretched by s: one
+    tdot_i = 1 oracle over max(tdot_list) windows serves every row.  It
+    runs after the solves, so a row that cannot be solved is reported first.
     """
     if not n_list or len(n_list) != len(tdot_list):
         raise ValueError("n_list and tdot_list must be non-empty and of equal length")
@@ -376,7 +316,7 @@ def scaled_tdot_study(
         row_cfg = replace(
             cfg, n_gamma=int(n), tdot_i=float(tdot), xdot_i=cfg.v_init * float(tdot)
         )
-        runs.append((row_cfg, solve(row_cfg, opts, guess=_geodesic_seed(row_cfg))))
+        runs.append((row_cfg, solve(row_cfg, opts)))
     span = max(c.tdot_i for c, _ in runs) * (cfg.gamma_f - cfg.gamma_i)
     oracle = solve_geodesic_ode(
         replace(cfg, tdot_i=1.0, xdot_i=cfg.v_init, gamma_f=cfg.gamma_i + span), tol

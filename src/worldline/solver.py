@@ -5,6 +5,9 @@ Instead the stationarity system grad E = 0 is solved by Newton's method
 with Armijo backtracking on the merit ||grad E||^2: the saddle becomes the
 merit's global minimum, the Newton step descends it with slope
 -2 ||grad E||^2 (Nocedal & Wright, ch. 11), and every accepted step lowers it.
+Newton starts from the geodesic, the scheme's continuum limit: one coarse RK4
+pass over the window, Hermite-interpolated onto the grid.  A seed reaching the
+horizon g00 <= 0 ends the solve with ``StepFailure``.
 
 Newton iterates on y = ((t1, x1) point by point, lam_5..lam_8), the 2n + 4
 unknowns of the physical limit t2 = t1, x2 = x1, lam_1..lam_4 = 0.  There
@@ -44,6 +47,8 @@ from .action import (
     InvalidConfig,
     ProblemConfig,
     StateVector,
+    geodesic_rhs,
+    metric_g00,
 )
 
 __all__ = [
@@ -52,6 +57,7 @@ __all__ = [
     "NonConvergence",
     "SingularSystem",
     "InvalidConfig",
+    "StepFailure",
     "initial_guess",
     "solve",
     "continuation_solve",
@@ -63,6 +69,12 @@ _LS_SHRINK = 0.5
 _LS_DECREASE = 1e-4
 _MIN_STEP = 1e-14
 _SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
+# RK4 steps the geodesic seed may take: a window of ~25000 time units, ~1 s
+_SEED_MAX_SUBSTEPS = 100_000
+
+
+class StepFailure(RuntimeError):
+    """An integration of the geodesic system (the oracle or the seed) failed."""
 
 
 class NonConvergence(RuntimeError):
@@ -138,6 +150,57 @@ def initial_guess(cfg: ProblemConfig) -> StateVector:
     return StateVector(t1=t, t2=t.copy(), x1=x, x2=x.copy(), lam=np.zeros(8))
 
 
+def _geodesic_seed(cfg: ProblemConfig) -> StateVector:
+    """Newton guess: a coarse RK4 geodesic, Hermite-interpolated onto the grid.
+
+    K = max(8, ceil(4 tdot_i (gamma_f - gamma_i))) steps on Python floats, a
+    quarter time unit at most, whatever n_gamma is.  K > _SEED_MAX_SUBSTEPS or
+    a step reaching g00 <= 0 raises StepFailure; an overflowing step gives the
+    straight line, whose solve then reports the failure.
+    """
+    span = cfg.gamma_f - cfg.gamma_i
+    steps = max(8, math.ceil(4.0 * cfg.tdot_i * span))
+    if steps > _SEED_MAX_SUBSTEPS:
+        raise StepFailure(
+            "window too long: the geodesic seed needs more than "
+            f"{_SEED_MAX_SUBSTEPS} RK4 sub-steps"
+        )
+    h = span / steps
+    nodes = [[float(v) for v in (cfg.t_i, cfg.tdot_i, cfg.x_i, cfg.xdot_i)]]
+    for k in range(1, steps + 1):
+        y = nodes[-1]
+        try:
+            k1 = geodesic_rhs(y, cfg)
+            k2 = geodesic_rhs([u + 0.5 * h * v for u, v in zip(y, k1)], cfg)
+            k3 = geodesic_rhs([u + 0.5 * h * v for u, v in zip(y, k2)], cfg)
+            k4 = geodesic_rhs([u + h * v for u, v in zip(y, k3)], cfg)
+            y = [
+                u + h / 6.0 * (a + 2.0 * (b + c) + d)
+                for u, a, b, c, d in zip(y, k1, k2, k3, k4)
+            ]
+            horizon = metric_g00(y[2], cfg) <= 0
+        except OverflowError:
+            return initial_guess(cfg)
+        except ZeroDivisionError:  # g00 = 0 at a stage
+            horizon = True
+        if horizon:
+            gamma = cfg.gamma_i + k * h
+            raise StepFailure(f"the trajectory reaches g00 <= 0 near gamma = {gamma:.3g}")
+        if not all(map(math.isfinite, y)):
+            return initial_guess(cfg)
+        nodes.append(y)
+    # cubic Hermite on each step: the chord plus u (1 - u) ((1 - u) a - u b)
+    s = np.arange(cfg.n_gamma) * (steps / (cfg.n_gamma - 1))
+    j = np.minimum(s.astype(int), steps - 1)
+    u = (s - j)[:, None]
+    path = np.array(nodes)
+    p, q = path[j], path[j + 1]
+    chord = q[:, ::2] - p[:, ::2]
+    a, b = h * p[:, 1::2] - chord, h * q[:, 1::2] - chord
+    tx = p[:, ::2] + u * (chord + (1.0 - u) * ((1.0 - u) * a - u * b))
+    return _lift(np.append(tx, np.zeros(4)))
+
+
 def _newton_step(hess: BandedHessian, r: np.ndarray) -> np.ndarray:
     """Solve R H P dy = -r; the band LU overwrites ``hess.ab``."""
     _, _, dy, info = scipy.linalg.lapack.dgbsv(
@@ -165,20 +228,20 @@ def solve(
 ) -> Solution:
     """Find the critical point of the discrete action for ``cfg``.
 
-    Only the guess's t1, x1 and lam_5..lam_8 are read: it is restricted to
-    the physical limit, so it returns the same state as its projection
-    (t2 := t1, x2 := x1, lam_1..lam_4 := 0).  Raises NonConvergence when
-    the iteration cap is hit or a line search stalls (the exception carries
-    the last iterate), and SingularSystem when the gradient norm or a
-    Hessian entry is not finite, or the Newton system is singular.
+    Newton starts from ``guess``, by default the geodesic seed, and reads
+    only its t1, x1 and lam_5..lam_8: it returns the same state as the
+    guess's projection (t2 := t1, x2 := x1, lam_1..lam_4 := 0).  Raises
+    StepFailure when the seed reaches g00 <= 0 or needs too many steps,
+    NonConvergence when the iteration cap is hit or a line search stalls
+    (the exception carries the last iterate), and SingularSystem when the
+    gradient norm or a Hessian entry is not finite, or the system singular.
     """
     opts = opts or SolveOptions()
-    action = DiscreteAction(cfg)
     n = cfg.n_gamma
-
-    s = guess if guess is not None else initial_guess(cfg)
+    s = guess if guess is not None else _geodesic_seed(cfg)
     if s.n != n:
         raise InvalidConfig("guess does not match the configured grid")
+    action = DiscreteAction(cfg)
     y = np.empty(2 * n + 4)
     y[:-4:2], y[1:-4:2], y[-4:] = s.t1, s.x1, s.lam[4:]
 

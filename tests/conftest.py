@@ -18,7 +18,9 @@ else:
 
 
 # the straight-line guess lies so far outside Newton's basin that the first
-# line search finds no step length that lowers the merit
+# line search finds no step length that lowers the merit; from the default
+# geodesic seed Newton converges (in 10 iterations), so the stall tests
+# start from the straight line
 STALLING_CONFIG = {
     "potential": {"type": "quartic", "kappa": 0.4},
     "order": "sbp21",

@@ -219,7 +219,10 @@ def test_solve_non_convergence_exits_2_with_files(quartic_config, tmp_path):
     assert (out / "trajectory.csv").exists()
 
 
-def test_solve_stalled_line_search_exits_2_with_files(tmp_path):
+def test_solve_stalled_line_search_exits_2_with_files(tmp_path, monkeypatch):
+    # from its geodesic seed this input converges; the stall needs Newton
+    # to start from the straight line
+    monkeypatch.setattr(wl.solver, "_geodesic_seed", wl.initial_guess)
     config = tmp_path / "stall.json"
     config.write_text(json.dumps(STALLING_CONFIG))
     out = tmp_path / "run"
@@ -269,13 +272,16 @@ def test_singular_system_exits_2_without_files(tmp_path, capsys, command):
 
 
 def test_sweep_scale_tdot_overflow_exits_2_fast_without_files(quartic_config, tmp_path):
-    # at tdot_i = 1e300 the geodesic seed overflows on its first sub-step of
-    # ~6e298 per cell; it must fall back to the straight line right there
+    # at tdot_i = 1e300 the geodesic seed would need ~4e300 RK4 steps; it
+    # must refuse before its first one
     out = tmp_path / "o"
     argv = ["sweep", "--config", str(quartic_config), "--out", str(out)]
     result = run_cli(*argv, "--n-list", "16,32,64", "--scale-tdot", "1,4,1e300", timeout=60)
     assert result.returncode == 2
-    assert result.stderr == b"worldline sweep: gradient norm nan at the initial guess\n"
+    assert result.stderr == (
+        b"worldline sweep: window too long: the geodesic seed needs more than "
+        b"100000 RK4 sub-steps\n"
+    )
     assert not out.exists()
 
 
@@ -337,6 +343,32 @@ def test_sweep_horizon_exits_2_fast_without_files(linear_config, tmp_path, capsy
     err = capsys.readouterr().err
     prefix = "worldline sweep: the trajectory reaches g00 <= 0 near gamma = 0.7"
     assert err.startswith(prefix)
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "tdot, message",
+    [
+        # the linear run reaches g00 = 1 + x/2 = 0 near gamma = 0.72
+        ("6", "the trajectory reaches g00 <= 0 near gamma = 0.7"),
+        ("1e8", "window too long: the geodesic seed needs more than 100000"),
+    ],
+    ids=["horizon", "long-window"],
+)
+def test_solve_failed_seed_exits_2_fast_without_files(tmp_path, capsys, tdot, message):
+    # the geodesic seed ends the solve before the first Newton step
+    config = tmp_path / "far.json"
+    config.write_text(
+        f'{{"n_gamma": 32, "tdot_i": {tdot}, "xdot_i": {float(tdot) / 10}, '
+        '"potential": {"type": "linear", "alpha": 0.25}}'
+    )
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert err.startswith(f"worldline solve: {message}")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
 

@@ -5,7 +5,7 @@ import pytest
 
 import worldline as wl
 from worldline import reference
-from worldline.reference import _ERROR_COLUMNS, _geodesic_seed
+from worldline.reference import _ERROR_COLUMNS
 
 
 def test_geodesic_free_straight_line(free_cfg):
@@ -337,13 +337,14 @@ def test_scaled_tdot_study_solves_each_row_once_against_one_oracle(
 
 @pytest.mark.parametrize("order", ["sbp21", "sbp42"])
 def test_geodesic_seed_reaches_large_tdot_cold(order):
-    # the straight-line guess lies outside Newton's basin from tdot_i = 4 on
+    # a default solve starts from the geodesic seed; the straight-line guess
+    # lies outside Newton's basin from tdot_i = 4 on
     base = wl.ProblemConfig(
         potential=wl.quartic_potential(0.5), n_gamma=256, order=order
     )
     for tdot in (4.0, 8.0, 16.0, 32.0):
         cfg = replace(base, tdot_i=tdot, xdot_i=base.v_init * tdot)
-        sol = wl.solve(cfg, guess=_geodesic_seed(cfg))
+        sol = wl.solve(cfg)
         assert sol.converged and sol.iterations <= 10, (tdot, sol.iterations)
 
 
@@ -352,4 +353,4 @@ def test_geodesic_seed_converges_on_a_coarse_grid_at_tdot_8():
     cfg = wl.ProblemConfig(
         potential=wl.quartic_potential(0.5), n_gamma=32, tdot_i=8.0, xdot_i=0.8
     )
-    assert wl.solve(cfg, guess=_geodesic_seed(cfg)).converged
+    assert wl.solve(cfg).converged

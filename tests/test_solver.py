@@ -5,7 +5,6 @@ import pytest
 
 import worldline as wl
 from worldline.diagnostics import interior_slice
-from worldline.reference import _geodesic_seed
 from worldline.solver import _SQRT_EPS, _newton_step
 from conftest import STALLING_CONFIG
 
@@ -238,11 +237,11 @@ def test_stalled_line_search_raises_non_convergence(monkeypatch):
     monkeypatch.setattr(wl.DiscreteAction, "residual", counted)
     cfg = wl.ProblemConfig.from_json_dict(STALLING_CONFIG)
     with pytest.raises(wl.NonConvergence, match="stalled") as err:
-        wl.solve(cfg)
+        wl.solve(cfg, guess=wl.initial_guess(cfg))
     last = err.value.solution
     assert last.termination == "stalled"
     assert not last.converged
-    assert last.iterations <= 1
+    assert last.iterations == 0
     assert len(calls) <= 49
     assert last.grad_norm == last.grad_history[-1]
 
@@ -255,6 +254,16 @@ def test_large_grid_converges_with_charge_at_floor(order, potential):
     sol = wl.solve(cfg, wl.SolveOptions(max_iter=12))
     assert sol.converged
     assert wl.diagnose(sol.state, cfg).max_interior_delta_e <= 1e-12
+
+
+@FAMILIES
+@POTENTIALS
+def test_default_solve_starts_from_the_geodesic_seed(order, potential):
+    # measured: 1-2 iterations from the seed, against 3-4 from the straight line
+    cfg = wl.ProblemConfig(potential=potential, n_gamma=256, order=order)
+    sol = wl.solve(cfg)
+    assert sol.converged
+    assert sol.iterations <= 2
 
 
 @pytest.mark.parametrize("n, max_iterations", [(1024, 10), (2048, 10), (4096, 12)])
@@ -334,21 +343,22 @@ def _seeded_config(rng, k):
 
 def test_seeded_random_configs_converge_with_charge_at_floor():
     # Every draw is kept.  A draw whose geodesic reaches the horizon
-    # g00 <= 0 inside the window has no critical point, and solve must not
-    # report one; the other draws must converge.  Measured: 46 converge with
-    # max interior dE <= 2.9e-13, and 2 (linear, x_i heading for the
-    # horizon) run out of iterations.
+    # g00 <= 0 inside the window has no critical point: its solve must stop
+    # at the geodesic seed, and Newton from the straight line must not find
+    # one either.  The other draws must converge.  Measured: 46 converge
+    # with max interior dE <= 2.9e-13, and 2 (linear, x_i heading for the
+    # horizon) stop at the seed.
     rng = np.random.default_rng(2024)
     converged = 0
     for k in range(48):
         cfg = _seeded_config(rng, k)
         try:
-            _geodesic_seed(cfg)
-        except wl.StepFailure:
+            sol = wl.solve(cfg)
+        except wl.StepFailure as exc:
+            assert "g00 <= 0" in str(exc), cfg
             with pytest.raises(wl.NonConvergence):
-                wl.solve(cfg)
+                wl.solve(cfg, guess=wl.initial_guess(cfg))
             continue
-        sol = wl.solve(cfg)
         assert sol.converged, cfg
         assert wl.diagnose(sol.state, cfg).max_interior_delta_e <= 1e-11, cfg
         converged += 1
@@ -369,8 +379,9 @@ def test_continuation_same_grid_returns_immediately(quartic_cfg, quartic_solutio
 
 
 def test_continuation_reduces_iterations(quartic_solution):
+    # against the straight line: the default geodesic seed needs fewer still
     cfg64 = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=64)
-    cold = wl.solve(cfg64)
+    cold = wl.solve(cfg64, guess=wl.initial_guess(cfg64))
     warm = wl.continuation_solve(cfg64, None, quartic_solution)
     assert warm.converged
     assert warm.iterations < cold.iterations
