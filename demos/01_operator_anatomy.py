@@ -40,5 +40,5 @@ for order in ("sbp21", "sbp42"):
 print()
 print("Regularized first row absorbs the penalty: D[0,:] gains 2/dgamma on the")
 print("diagonal and the shift column carries -2*init/dgamma (trapezoidal norm):")
-reg = wl.regularize(wl.build_sbp21(5, 0.5), init_value=1.0)
+reg = wl.regularize(wl.build_operator("sbp21", 5, 0.5), init_value=1.0)
 print(np.array_str(reg.dbar, precision=3, suppress_small=True))

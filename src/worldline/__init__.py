@@ -50,8 +50,6 @@ from .sbp import (
     RegularizedOperator,
     SbpOperator,
     build_operator,
-    build_sbp21,
-    build_sbp42,
     regularize,
 )
 from .solver import (

@@ -29,8 +29,9 @@ vanish.  There ``residual``, the branch-1 kernel that ``gradient`` calls
 once per branch, is R grad E: rows lam_1..lam_4, then (t1, x1) point by
 point.  The only Hessian built is R H P, with those rows and the columns
 (t1, x1) point by point, then lam_5..lam_8.  It has no branch-2 column, so
-``hessian`` assembles it from branch 1 alone, straight into LAPACK band
-storage (kl/ku = 8/2 for sbp21, 14/6 for sbp42).
+``hessian(t, x)`` assembles it from branch 1 alone into LAPACK band storage
+(kl/ku = 8/2 for sbp21, 14/6 for sbp42), which ``BandedHessian.solve``
+factors in place with ``dgbsv``, in O(n).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .sbp import MIN_POINTS, SbpOperator, build_operator, regularize
 
@@ -92,11 +94,19 @@ def free_potential() -> Potential:
     return Potential(v=zero, dv=zero, d2v=zero, label="free")
 
 
+def _require_finite(name: str, value) -> None:
+    try:
+        if math.isfinite(value):
+            return
+    except OverflowError:
+        value = "an integer too large for a float"
+    raise InvalidConfig(f"{name} must be finite, got {value}")
+
+
 def _finite_coefficient(name: str, value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise InvalidConfig(f"{name} must be finite, got {value}")
-    return value
+    # an int is checked as it is, since float() overflows on a huge one
+    _require_finite(name, value if isinstance(value, int) else float(value))
+    return float(value)
 
 
 def linear_potential(alpha: float) -> Potential:
@@ -170,9 +180,7 @@ class ProblemConfig:
         if not isinstance(self.n_gamma, (int, np.integer)):
             raise InvalidConfig(f"n_gamma must be an integer, got {self.n_gamma!r}")
         for name in ("m", "c", "t_i", "x_i", "tdot_i", "xdot_i", "gamma_i", "gamma_f"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvalidConfig(f"{name} must be finite, got {value!r}")
+            _require_finite(name, getattr(self, name))
         object.__setattr__(self, "order", self.order.lower())
         if self.order not in MIN_POINTS:
             raise InvalidConfig(f"unknown operator order {self.order!r}")
@@ -325,11 +333,11 @@ def geodesic_rhs(y, cfg: ProblemConfig) -> tuple:
 
 @dataclass(frozen=True)
 class BandedHessian:
-    """R H P in LAPACK general-band storage.
+    """R H P in LAPACK general-band storage, with its band LU solve.
 
     Entry (i, j) sits at ``ab[kl + ku + i - j, j]``; the first ``kl`` rows
     are the room ``dgbsv`` needs for the fill-in of partial pivoting, and
-    ``ab`` is column-major, so ``dgbsv`` can factor it in place.  Rows are
+    ``ab`` is column-major, so ``solve`` factors it in place.  Rows are
     lam_1..lam_4, then (t1, x1) point by point; columns are (t1, x1) point
     by point, then lam_5..lam_8.
     """
@@ -346,16 +354,16 @@ class BandedHessian:
         dense[j + r - self.ku, j] = self.ab[self.kl + r, j]
         return dense if dtype is None else dense.astype(dtype, copy=False)
 
-    @staticmethod
-    def restrict(grad: np.ndarray) -> np.ndarray:
-        """R grad: lam_1..lam_4, then (t1, x1) point by point."""
-        return np.concatenate([grad[-8:-4], grad[:-8].reshape(4, -1)[::2].T.ravel()])
-
-    @staticmethod
-    def lift(y: np.ndarray) -> np.ndarray:
-        """P y: t2 = t1, x2 = x1, lam_1..lam_4 = 0, in ``StateVector.pack`` order."""
-        t, x = y[:-4:2], y[1:-4:2]
-        return np.concatenate([t, t, x, x, np.zeros(4), y[-4:]])
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """dy with R H P dy = -r; the band LU overwrites ``ab``, or raises LinAlgError."""
+        if not np.all(np.isfinite(self.ab)):
+            raise np.linalg.LinAlgError("non-finite Hessian")
+        _, _, dy, info = scipy.linalg.lapack.dgbsv(
+            self.kl, self.ku, self.ab, -r, overwrite_ab=True, overwrite_b=True
+        )
+        if info != 0 or not np.all(np.isfinite(dy)):
+            raise np.linalg.LinAlgError("singular or non-finite Newton step")
+        return dy
 
 
 class DiscreteAction:
@@ -431,11 +439,12 @@ class DiscreteAction:
         self._ldab = 2 * self.kl + self.ku + 1
         self._slot = cols * self._ldab + self.kl + self.ku + rows - cols
 
-    def _check(self, s: StateVector) -> None:
-        if s.n != self.n:
-            raise ValueError(
-                f"state has {s.n} grid points but the action expects {self.n}"
-            )
+    def _check(self, *coords) -> None:
+        for u in coords:
+            if len(u) != self.n:
+                raise ValueError(
+                    f"state has {len(u)} grid points but the action expects {self.n}"
+                )
 
     def _initial_residuals(self, t, x) -> list:
         """The residuals of lam_1..lam_4 for the coordinates t, x."""
@@ -449,7 +458,7 @@ class DiscreteAction:
 
     def constraints(self, s: StateVector) -> np.ndarray:
         """The eight multiplier residuals, in order lam_1..lam_8."""
-        self._check(s)
+        self._check(s.t1)
         # row n-1 of D; each residual takes its own dot products, so
         # (D t1)[-1] - (D t2)[-1] rounds as a difference of two end values
         d_last = self._jac[6, : self.n]
@@ -464,7 +473,7 @@ class DiscreteAction:
         )
 
     def value(self, s: StateVector) -> float:
-        self._check(s)
+        self._check(s.t1)
         total = 0.0
         for sign, t, x in ((1.0, s.t1, s.x1), (-1.0, s.t2, s.x2)):
             wt = self.reg_t.apply(t)
@@ -494,7 +503,7 @@ class DiscreteAction:
 
     def gradient(self, s: StateVector) -> np.ndarray:
         """grad E in pack order; branch 2 meets lam_5..lam_8 only, with sign -1."""
-        self._check(s)
+        self._check(s.t1)
         r1 = self.residual(s.t1, s.x1, s.lam)
         r2 = -self.residual(s.t2, s.x2, np.append(np.zeros(4), s.lam[4:]))
         coord = (r1[4::2], r2[4::2], r1[5::2], r2[5::2])
@@ -513,14 +522,14 @@ class DiscreteAction:
         jac[6, 1] = jac[7, 3] = -d_last
         return jac.reshape(8, 4 * n)
 
-    def hessian(self, s: StateVector) -> BandedHessian:
-        """R H P at ``s``, which reads only t1, x1 and the multiplier terms."""
-        self._check(s)
-        wt = self.reg_t.apply(s.t1)
+    def hessian(self, t, x) -> BandedHessian:
+        """R H P at t1 = t, x1 = x; the multiplier entries are constants."""
+        self._check(t, x)
+        wt = self.reg_t.apply(t)
         weights = [
-            metric_g00(s.x1, self.cfg) * self.h,
-            metric_g00_prime(s.x1, self.cfg) * self.h * wt,
-            0.5 * metric_g00_second(s.x1, self.cfg) * self.h * wt * wt,
+            metric_g00(x, self.cfg) * self.h,
+            metric_g00_prime(x, self.cfg) * self.h * wt,
+            0.5 * metric_g00_second(x, self.cfg) * self.h * wt * wt,
             [1.0],
         ]
         values = self._coef * np.concatenate(weights)[self._weight]

@@ -37,8 +37,6 @@ import numpy as np
 __all__ = [
     "SbpOperator",
     "RegularizedOperator",
-    "build_sbp21",
-    "build_sbp42",
     "build_operator",
     "regularize",
     "MIN_POINTS",
@@ -200,16 +198,6 @@ def build_operator(order: str, n: int, dgamma: float) -> SbpOperator:
         interior_order=interior_order,
         boundary_order=boundary_order,
     )
-
-
-def build_sbp21(n: int, dgamma: float) -> SbpOperator:
-    """Second-order SBP operator with trapezoidal quadrature."""
-    return build_operator("sbp21", n, dgamma)
-
-
-def build_sbp42(n: int, dgamma: float) -> SbpOperator:
-    """Fourth-order-interior SBP operator with four-row boundary closures."""
-    return build_operator("sbp42", n, dgamma)
 
 
 def regularize(op: SbpOperator, init_value: float) -> RegularizedOperator:

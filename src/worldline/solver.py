@@ -14,11 +14,11 @@ unknowns of the physical limit t2 = t1, x2 = x1, lam_1..lam_4 = 0.  There
 branch 2's rows of grad E are -(branch 1's) and the lam_5..lam_8 rows vanish,
 so one branch-1 kernel, ``DiscreteAction.residual``, gives r = R grad E at
 each trial point, and ||grad E||^2 = ||r_lam||^2 + 2 ||r_coord||^2.  Each
-step solves R H P dy = -r, the one Hessian ``DiscreteAction.hessian``
-assembles, with LAPACK's band LU ``dgbsv`` in place, in O(n) (kl/ku = 8/2
-for sbp21, 14/6 for sbp42).  y is lifted to a ``StateVector`` only for the
-Hessian and the returned ``Solution``.  A gradient or Hessian that is not
-finite, or a singular factorisation, ends the solve with ``SingularSystem``.
+step solves R H P dy = -r: ``DiscreteAction.hessian`` assembles the one
+Hessian from y's (t1, x1), and its ``solve`` runs the band LU in O(n).  y is
+lifted to a ``StateVector`` only for the seed and the returned ``Solution``.
+A gradient or Hessian that is not finite, or a singular factorisation, ends
+the solve with ``SingularSystem``.
 
 The solve stops on one of two tests.  The gradient test passes once
 ||grad||_2 <= grad_tol * (1 + ||y||_inf) (``termination == "converged"``).
@@ -39,10 +39,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .action import (
-    BandedHessian,
     DiscreteAction,
     InvalidConfig,
     ProblemConfig,
@@ -201,16 +199,6 @@ def _geodesic_seed(cfg: ProblemConfig) -> StateVector:
     return _lift(np.append(tx, np.zeros(4)))
 
 
-def _newton_step(hess: BandedHessian, r: np.ndarray) -> np.ndarray:
-    """Solve R H P dy = -r; the band LU overwrites ``hess.ab``."""
-    _, _, dy, info = scipy.linalg.lapack.dgbsv(
-        hess.kl, hess.ku, hess.ab, -r, overwrite_ab=True, overwrite_b=True
-    )
-    if info != 0 or not np.all(np.isfinite(dy)):
-        raise np.linalg.LinAlgError("singular or non-finite Newton step")
-    return dy
-
-
 def _lift(y: np.ndarray) -> StateVector:
     """The state t2 = t1, x2 = x1, lam_1..lam_4 = 0 of the unknowns ``y``."""
     t, x, lam = y[:-4:2], y[1:-4:2], np.append(np.zeros(4), y[-4:])
@@ -273,11 +261,8 @@ def solve(
         if iterations == opts.max_iter:
             break
 
-        hess = action.hessian(_lift(y))
-        if not np.all(np.isfinite(hess.ab)):
-            raise SingularSystem(f"non-finite Hessian at iteration {iterations}")
         try:
-            step = _newton_step(hess, r)
+            step = action.hessian(y[:-4:2], y[1:-4:2]).solve(r)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"{exc} at iteration {iterations}") from None
         at_floor = float(np.max(np.abs(step))) <= _SQRT_EPS * y_scale

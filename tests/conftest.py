@@ -80,9 +80,9 @@ def doubled_hessian(action, s):
     """The doubled (4n + 8)^2 Hessian in pack order, from program output.
 
     Branch 1 and the multiplier entries R H P holds come from
-    ``hessian(s)``; branch 2 is -(the coordinate block of ``hessian`` at
-    the branch-swapped state), since branch 2 enters the action with
-    opposite sign; the other multiplier blocks are ``constraint_jacobian()``.
+    ``hessian(s.t1, s.x1)``; branch 2 is -(the coordinate block of
+    ``hessian(s.t2, s.x2)``), since branch 2 enters the action with opposite
+    sign; the other multiplier blocks are ``constraint_jacobian()``.
     """
     n = s.n
     rows, cols = physical_limit_indices(n)
@@ -90,10 +90,9 @@ def doubled_hessian(action, s):
     out = np.zeros((4 * n + 8, 4 * n + 8))
     out[4 * n :, : 4 * n] = jac
     out[: 4 * n, 4 * n :] = jac.T
-    out[np.ix_(rows, cols)] = np.asarray(action.hessian(s))
-    swapped = np.asarray(action.hessian(wl.StateVector(s.t2, s.t1, s.x2, s.x1, s.lam)))
+    out[np.ix_(rows, cols)] = np.asarray(action.hessian(s.t1, s.x1))
     branch2 = cols[:-4] + n  # (t2, x2) point by point
-    out[np.ix_(branch2, branch2)] = -swapped[4:, :-4]
+    out[np.ix_(branch2, branch2)] = -np.asarray(action.hessian(s.t2, s.x2))[4:, :-4]
     return out
 
 

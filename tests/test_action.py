@@ -201,15 +201,25 @@ def test_hessian_symmetric_and_matches_fd():
     assert scaled_max_err(hess, fd_hessian(action, s.pack(), 8)) <= 1e-5
 
 
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("wrong", ["t", "x"])
+def test_hessian_rejects_a_wrong_grid_length(delta, wrong):
+    cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=16)
+    s = wl.initial_guess(cfg)
+    coords = {"t": s.t1, "x": s.x1}
+    coords[wrong] = np.linspace(0.0, 1.0, 16 + delta)
+    with pytest.raises(ValueError, match=f"has {16 + delta} grid points .* expects 16"):
+        wl.DiscreteAction(cfg).hessian(coords["t"], coords["x"])
+
+
 def test_free_hessian_cross_blocks_vanish():
     rng = np.random.default_rng(6)
     cfg = wl.ProblemConfig(potential=wl.free_potential(), n_gamma=8)
     action = wl.DiscreteAction(cfg)
     s = random_state(cfg, rng)
-    swapped = wl.StateVector(t1=s.t2, t2=s.t1, x1=s.x2, x2=s.x1, lam=s.lam)
-    for state in (s, swapped):
+    for t, x in ((s.t1, s.x1), (s.t2, s.x2)):
         # rows t1, x1 and columns t1, x1 of R H P, point by point
-        coords = np.asarray(action.hessian(state))[4:, :-4]
+        coords = np.asarray(action.hessian(t, x))[4:, :-4]
         assert np.all(coords[0::2, 1::2] == 0.0)  # t rows, x columns
         assert np.all(coords[1::2, 0::2] == 0.0)  # x rows, t columns
         assert np.all(np.diag(coords) != 0.0)
@@ -292,7 +302,7 @@ def test_large_grid_stores_only_linear_size_arrays(order):
     action = wl.DiscreteAction(cfg)
     s = wl.initial_guess(cfg)
     assert np.all(np.isfinite(action.gradient(s)))
-    hess = action.hessian(s)
+    hess = action.hessian(s.t1, s.x1)
     assert np.all(np.isfinite(hess.ab))
     assert (hess.kl, hess.ku) == {"sbp21": (8, 2), "sbp42": (14, 6)}[order]
     # the largest are R H P's per-term arrays, about 41 n entries for sbp42,

@@ -186,6 +186,10 @@ def test_solve_bad_config_exits_1(tmp_path):
         {"potential": {"type": "linear", "alpha": None}},
         {"potential": {"type": "quartic", "kappa": 0.5, "alpha": 0.3}},
         {"potential": {"type": "free", "kappa": 0.5}},
+        # JSON integers are exact: too large for a float, they are not finite
+        {"x_i": 10**400},
+        {"tdot_i": -(10**400)},
+        {"potential": {"type": "linear", "alpha": 10**400}},
     ],
 )
 def test_malformed_config_value_exits_1(tmp_path, capsys, command, field):
@@ -195,7 +199,8 @@ def test_malformed_config_value_exits_1(tmp_path, capsys, command, field):
     if command == "sweep":
         argv += ["--n-list", "8,16,32"]
     assert main(argv) == 1
-    assert f"worldline {command}: bad configuration: " in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"worldline {command}: bad configuration: ")
     assert not (tmp_path / "o").exists()
 
 

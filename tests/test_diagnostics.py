@@ -134,7 +134,7 @@ def test_h_bvp_linear_growth_bound(fixture, cfg_fixture, request):
 
 def test_error_norms_zero_for_identical():
     rng = np.random.default_rng(0)
-    op = wl.build_sbp21(9, 1 / 8)
+    op = wl.build_operator("sbp21", 9, 1 / 8)
     t = rng.standard_normal(9)
     x = rng.standard_normal(9)
     err = wl.error_norms(t, x, t, x, op.h)
@@ -143,7 +143,7 @@ def test_error_norms_zero_for_identical():
 
 
 def test_error_norms_constant_offset():
-    op = wl.build_sbp21(17, 1 / 16)
+    op = wl.build_operator("sbp21", 17, 1 / 16)
     t = np.linspace(0.0, 1.0, 17)
     x = np.linspace(1.0, 1.1, 17)
     delta = 0.01
@@ -154,7 +154,7 @@ def test_error_norms_constant_offset():
 
 
 def test_error_norms_dimension_mismatch():
-    op = wl.build_sbp21(9, 1 / 8)
+    op = wl.build_operator("sbp21", 9, 1 / 8)
     with pytest.raises(ValueError):
         wl.error_norms(np.ones(9), np.ones(9), np.ones(8), np.ones(8), op.h)
 

@@ -5,8 +5,8 @@ import pytest
 
 import worldline as wl
 from worldline.diagnostics import interior_slice
-from worldline.solver import _SQRT_EPS, _newton_step
-from conftest import STALLING_CONFIG
+from worldline.solver import _SQRT_EPS, _lift
+from conftest import STALLING_CONFIG, physical_limit_indices
 
 FAMILIES = pytest.mark.parametrize("order", ["sbp21", "sbp42"])
 POTENTIALS = pytest.mark.parametrize(
@@ -172,10 +172,11 @@ def test_zero_pivot_is_a_linalg_error():
     cfg = wl.ProblemConfig(potential=wl.free_potential(), n_gamma=16)
     action = wl.DiscreteAction(cfg)
     s = wl.initial_guess(cfg)
-    hess = action.hessian(s)
+    hess = action.hessian(s.t1, s.x1)
     singular = replace(hess, ab=np.zeros_like(hess.ab))
+    rows, _ = physical_limit_indices(cfg.n_gamma)
     with pytest.raises(np.linalg.LinAlgError):
-        _newton_step(singular, singular.restrict(action.gradient(s)))
+        singular.solve(action.gradient(s)[rows])
 
 
 def test_singular_newton_system_raises_at_the_first_iteration(monkeypatch):
@@ -183,9 +184,9 @@ def test_singular_newton_system_raises_at_the_first_iteration(monkeypatch):
     hessian = wl.DiscreteAction.hessian
     calls = []
 
-    def zero_band(self, state):
+    def zero_band(self, t, x):
         calls.append(1)
-        hess = hessian(self, state)
+        hess = hessian(self, t, x)
         return replace(hess, ab=np.zeros_like(hess.ab))
 
     monkeypatch.setattr(wl.DiscreteAction, "hessian", zero_band)
@@ -197,28 +198,28 @@ def test_singular_newton_system_raises_at_the_first_iteration(monkeypatch):
 
 @FAMILIES
 def test_solve_iterates_on_branch_one_only(monkeypatch, order):
-    # every trial point costs one residual; the doubled gradient and the
-    # restrict/lift maps stay off the path, and each iteration builds one
-    # Hessian
-    calls = dict.fromkeys(["gradient", "residual", "hessian", "restrict", "lift"], 0)
+    # every trial point costs one residual; the doubled gradient stays off
+    # the path, each iteration builds one Hessian from branch 1, and the
+    # only states built are the seed and the result
+    calls = dict.fromkeys(["gradient", "residual", "hessian", "__post_init__"], 0)
 
-    def count(owner, name, kind=lambda f: f):
+    def count(owner, name):
         original = getattr(owner, name)
 
         def counted(*args):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(owner, name, kind(counted))
+        monkeypatch.setattr(owner, name, counted)
 
     for name in ("gradient", "residual", "hessian"):
         count(wl.DiscreteAction, name)
-    for name in ("restrict", "lift"):
-        count(wl.action.BandedHessian, name, staticmethod)
+    count(wl.StateVector, "__post_init__")
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=64, order=order)
     sol = wl.solve(cfg)
     assert sol.iterations > 0
-    assert calls["gradient"] == calls["restrict"] == calls["lift"] == 0
+    assert calls["gradient"] == 0
+    assert calls["__post_init__"] == 2
     assert calls["hessian"] == sol.iterations
     # every trial step is accepted here
     assert calls["residual"] == len(sol.grad_history) == sol.iterations + 1
@@ -298,8 +299,9 @@ def test_roundoff_floor_is_a_newton_fixed_point():
     assert sol.termination == "roundoff_floor"
     # one more Newton step from the returned state moves it by rounding only
     action = wl.DiscreteAction(cfg)
-    hess = action.hessian(sol.state)
-    step = hess.lift(_newton_step(hess, hess.restrict(action.gradient(sol.state))))
+    hess = action.hessian(sol.state.t1, sol.state.x1)
+    rows, _ = physical_limit_indices(cfg.n_gamma)
+    step = _lift(hess.solve(action.gradient(sol.state)[rows])).pack()
     z = sol.state.pack()
     assert np.max(np.abs(step)) <= _SQRT_EPS * (1.0 + np.max(np.abs(z)))
 
