@@ -47,7 +47,6 @@ from .reference import (
     solve_physical_eom,
 )
 from .sbp import (
-    RegularizedOperator,
     SbpOperator,
     build_operator,
     regularize,

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -95,6 +96,8 @@ def free_potential() -> Potential:
 
 
 def _require_finite(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidConfig(f"{name} must be a real number, got {value!r}")
     try:
         if math.isfinite(value):
             return
@@ -104,8 +107,7 @@ def _require_finite(name: str, value) -> None:
 
 
 def _finite_coefficient(name: str, value) -> float:
-    # an int is checked as it is, since float() overflows on a huge one
-    _require_finite(name, value if isinstance(value, int) else float(value))
+    _require_finite(name, value)
     return float(value)
 
 
@@ -177,7 +179,9 @@ class ProblemConfig:
     def __post_init__(self):
         if not isinstance(self.order, str):
             raise InvalidConfig(f"order must be a string, got {self.order!r}")
-        if not isinstance(self.n_gamma, (int, np.integer)):
+        if isinstance(self.n_gamma, bool) or not isinstance(
+            self.n_gamma, (int, np.integer)
+        ):
             raise InvalidConfig(f"n_gamma must be an integer, got {self.n_gamma!r}")
         for name in ("m", "c", "t_i", "x_i", "tdot_i", "xdot_i", "gamma_i", "gamma_f"):
             _require_finite(name, getattr(self, name))
@@ -214,7 +218,11 @@ class ProblemConfig:
         return np.linspace(self.gamma_i, self.gamma_f, self.n_gamma)
 
     def build_operator(self) -> SbpOperator:
-        return build_operator(self.order, self.n_gamma, self.dgamma)
+        """The operator, built on the first call; not a field, so == ignores it."""
+        if "_operator" not in self.__dict__:
+            op = build_operator(self.order, self.n_gamma, self.dgamma)
+            object.__setattr__(self, "_operator", op)
+        return self._operator
 
     def to_json_dict(self) -> dict:
         if self.potential.label not in _POTENTIAL_BUILDERS:
@@ -369,11 +377,11 @@ class BandedHessian:
 class DiscreteAction:
     """Evaluator for the discrete action, its gradient, and R H P.
 
-    Operators, the 8 x 4n constraint Jacobian and the band pattern of R H P
-    are assembled once at construction.  The initial-data targets
-    of the multiplier constraints are kept as plain attributes, separate
-    from the shift absorbed into the regularized operators, so the two roles
-    of the initial values can be probed independently.
+    The configuration's classical operator ``op``, its regularized copies
+    ``reg_t`` and ``reg_x`` (the same matrix M, each with its own shift), the
+    8 x 4n constraint Jacobian and the band pattern of R H P are assembled
+    once at construction.  The multiplier constraints read their initial
+    data from ``cfg``.
     """
 
     def __init__(self, cfg: ProblemConfig):
@@ -383,11 +391,6 @@ class DiscreteAction:
         self.reg_t = regularize(self.op, cfg.t_i)
         self.reg_x = regularize(self.op, cfg.x_i)
         self.h = self.op.h
-        # constraint targets for lam_1..lam_4
-        self.t_init = cfg.t_i
-        self.tdot_init = cfg.tdot_i
-        self.x_init = cfg.x_i
-        self.xdot_init = cfg.xdot_i
         self._jac = self.constraint_jacobian()
         # its branch-1 columns, (t1, x1) point by point
         jac1 = self._jac.reshape(8, 4, self.n)[:, ::2].transpose(0, 2, 1)
@@ -448,12 +451,12 @@ class DiscreteAction:
 
     def _initial_residuals(self, t, x) -> list:
         """The residuals of lam_1..lam_4 for the coordinates t, x."""
-        d_first = self._jac[1, : self.n]  # row 0 of D
+        cfg, d_first = self.cfg, self._jac[1, : self.n]  # row 0 of D
         return [
-            t[0] - self.t_init,
-            d_first @ t - self.tdot_init,
-            x[0] - self.x_init,
-            d_first @ x - self.xdot_init,
+            t[0] - cfg.t_i,
+            d_first @ t - cfg.tdot_i,
+            x[0] - cfg.x_i,
+            d_first @ x - cfg.xdot_i,
         ]
 
     def constraints(self, s: StateVector) -> np.ndarray:

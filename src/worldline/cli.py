@@ -311,7 +311,7 @@ def cmd_dump_operator(args) -> int:
             reg = regularize(op, args.init_value)
             payload.update(
                 {
-                    "init_value": reg.init_value,
+                    "init_value": args.init_value,
                     "sigma0": SIGMA0,
                     "dbar": [[float(v) for v in row] for row in reg.dbar],
                     # the quadrature padded by a zero row and column, so the

@@ -21,22 +21,22 @@ compute D u and D^T v.  The norm H is stored as its diagonal, the vector
 ``h`` of quadrature weights.  The dense ``d``, ``q`` and ``dbar`` are built
 on request only.
 
-``regularize`` absorbs an initial-value penalty term into either family:
-D u becomes M u + s, where M differs from D in its (0, 0) entry only and s
-is zero past its first entry.  The penalty lifts the highly oscillatory left
-null mode of D, so M is nonsingular and safe to use inside a quadratic
-functional.
+``regularize`` absorbs an initial-value penalty term into either family.
+The result is an operator of the same type: D u becomes M u + s, where M
+differs from D in its (0, 0) entry only and s, the operator's ``shift0``,
+is zero past its first entry.  A classical operator is the case
+``shift0 = 0``.  The penalty lifts the highly oscillatory left null mode of
+D, so M is nonsingular and safe to use inside a quadratic functional.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
     "SbpOperator",
-    "RegularizedOperator",
     "build_operator",
     "regularize",
     "MIN_POINTS",
@@ -61,18 +61,16 @@ def _product(rows, cols, vals, u) -> np.ndarray:
     return np.bincount(rows, weights=vals * u[cols], minlength=u.shape[0])
 
 
-def _dense(rows, cols, vals, n) -> np.ndarray:
-    a = np.zeros((n, n))
-    a[rows, cols] = vals
-    return a
-
-
 @dataclass(frozen=True)
 class SbpOperator:
-    """Classical SBP pair: the entries of D and the norm weights ``h``.
+    """An SBP operator: the entries of its matrix, a shift and the norm weights ``h``.
 
-    Entry e of D is ``vals[e]`` at (``rows[e]``, ``cols[e]``), listed row by
-    row, and entry 0 is D[0, 0].
+    Entry e of the matrix is ``vals[e]`` at (``rows[e]``, ``cols[e]``),
+    listed row by row, and entry 0 is its (0, 0) entry.  ``apply`` adds
+    ``shift0`` to the first entry of the product.  A classical operator is
+    D with no shift; a regularized one, made by ``regularize``, is
+    M = D - sigma0 H^{-1} E_0 with the shift s = sigma0 H^{-1} E_0 g, where
+    g = (init_value, 0, ..., 0) and sigma0 = ``SIGMA0``.
     """
 
     n: int
@@ -83,10 +81,13 @@ class SbpOperator:
     h: np.ndarray
     interior_order: int
     boundary_order: int
+    shift0: float = 0.0
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """D u."""
-        return _product(self.rows, self.cols, self.vals, u)
+        """D u + s."""
+        w = _product(self.rows, self.cols, self.vals, u)
+        w[0] += self.shift0
+        return w
 
     def apply_t(self, v: np.ndarray) -> np.ndarray:
         """D^T v."""
@@ -94,47 +95,22 @@ class SbpOperator:
 
     @property
     def d(self) -> np.ndarray:
-        """The dense differentiation matrix D."""
-        return _dense(self.rows, self.cols, self.vals, self.n)
+        """The dense matrix: D, or M for a regularized operator."""
+        d = np.zeros((self.n, self.n))
+        d[self.rows, self.cols] = self.vals
+        return d
 
     @property
     def q(self) -> np.ndarray:
         """Almost-skew part Q = H D."""
         return self.h[:, None] * self.d
 
-
-@dataclass(frozen=True)
-class RegularizedOperator:
-    """An SBP operator with the initial-value penalty absorbed.
-
-    The regularized derivative of u is M u + s: M = D - sigma0 H^{-1} E_0
-    has the entries ``vals`` at the positions of ``base``, and
-    s = sigma0 H^{-1} E_0 g, with g = (init_value, 0, ..., 0) and
-    sigma0 = ``SIGMA0``, is ``shift0`` in its first entry and zero elsewhere.
-    """
-
-    base: SbpOperator
-    vals: np.ndarray
-    shift0: float
-    init_value: float
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        """M u + s."""
-        w = _product(self.base.rows, self.base.cols, self.vals, u)
-        w[0] += self.shift0
-        return w
-
-    def apply_t(self, v: np.ndarray) -> np.ndarray:
-        """M^T v."""
-        return _product(self.base.cols, self.base.rows, self.vals, v)
-
     @property
     def dbar(self) -> np.ndarray:
         """The affine (n+1) x (n+1) form acting on (u_0, ..., u_{n-1}, 1)."""
-        n = self.base.n
-        dbar = _dense(self.base.rows, self.base.cols, self.vals, n + 1)
-        dbar[0, n] = self.shift0
-        dbar[n, n] = 1.0
+        dbar = np.pad(self.d, (0, 1))
+        dbar[0, -1] = self.shift0
+        dbar[-1, -1] = 1.0
         return dbar
 
 
@@ -200,16 +176,14 @@ def build_operator(order: str, n: int, dgamma: float) -> SbpOperator:
     )
 
 
-def regularize(op: SbpOperator, init_value: float) -> RegularizedOperator:
-    """Absorb the initial-value penalty: change entry 0, D[0, 0], and add a shift."""
+def regularize(op: SbpOperator, init_value: float) -> SbpOperator:
+    """Absorb the initial-value penalty: change entry 0, D[0, 0], and add a shift.
+
+    The result shares ``rows``, ``cols`` and ``h`` with ``op``.
+    """
     if not np.isfinite(init_value):
         raise ValueError(f"init_value must be finite, got {init_value}")
     h00 = op.h[0]
     vals = op.vals.copy()
     vals[0] -= SIGMA0 / h00
-    return RegularizedOperator(
-        base=op,
-        vals=_freeze(vals),
-        shift0=SIGMA0 * init_value / h00,
-        init_value=float(init_value),
-    )
+    return replace(op, vals=_freeze(vals), shift0=SIGMA0 * init_value / h00)

@@ -266,8 +266,8 @@ def test_time_translation_invariance():
     assert abs(consistent.value(shifted) - action.value(s)) <= 1e-12
 
     # shifting only the operator's absorbed value exposes the lam_1 term
-    operator_only = wl.DiscreteAction(replace(cfg, t_i=cfg.t_i + shift))
-    operator_only.t_init = cfg.t_i
+    operator_only = wl.DiscreteAction(cfg)
+    operator_only.reg_t = wl.regularize(operator_only.op, cfg.t_i + shift)
     delta = operator_only.value(shifted) - action.value(s)
     assert abs(delta - s.lam[0] * shift) <= 1e-12
 

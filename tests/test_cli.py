@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -172,27 +173,39 @@ def test_solve_bad_config_exits_1(tmp_path):
     assert main(argv) == 1
 
 
+# each malformed value with the field its message must name
+MALFORMED_FIELDS = [
+    ({"n_gamma": 32.5}, "n_gamma"),
+    ({"n_gamma": 32.0}, "n_gamma"),
+    ({"order": 5}, "order"),
+    ({"m": float("nan")}, "m"),
+    ({"x_i": float("inf")}, "x_i"),
+    ({"gamma_f": float("inf")}, "gamma_f"),
+    ({"potential": {"type": "quartic", "kappa": float("nan")}}, "kappa"),
+    ({"potential": {"type": "linear", "alpha": None}}, "alpha"),
+    ({"potential": {"type": "quartic", "kappa": 0.5, "alpha": 0.3}}, "alpha"),
+    ({"potential": {"type": "free", "kappa": 0.5}}, "kappa"),
+    # JSON integers are exact: too large for a float, they are not finite
+    ({"x_i": 10**400}, "x_i"),
+    ({"tdot_i": -(10**400)}, "tdot_i"),
+    ({"potential": {"type": "linear", "alpha": 10**400}}, "alpha"),
+    # strings, booleans, null and lists are not real numbers
+    ({"potential": {"type": "linear", "alpha": "0.25"}}, "alpha"),
+    ({"potential": {"type": "quartic", "kappa": True}}, "kappa"),
+    ({"tdot_i": True}, "tdot_i"),
+    ({"x_i": "1.0"}, "x_i"),
+    ({"m": None}, "m"),
+    ({"c": [1.0]}, "c"),
+    ({"n_gamma": True}, "n_gamma"),
+]
+
+
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 @pytest.mark.parametrize(
-    "field",
-    [
-        {"n_gamma": 32.5},
-        {"n_gamma": 32.0},
-        {"order": 5},
-        {"m": float("nan")},
-        {"x_i": float("inf")},
-        {"gamma_f": float("inf")},
-        {"potential": {"type": "quartic", "kappa": float("nan")}},
-        {"potential": {"type": "linear", "alpha": None}},
-        {"potential": {"type": "quartic", "kappa": 0.5, "alpha": 0.3}},
-        {"potential": {"type": "free", "kappa": 0.5}},
-        # JSON integers are exact: too large for a float, they are not finite
-        {"x_i": 10**400},
-        {"tdot_i": -(10**400)},
-        {"potential": {"type": "linear", "alpha": 10**400}},
-    ],
+    "field, name",
+    [pytest.param(*case, id=f"field{i}") for i, case in enumerate(MALFORMED_FIELDS)],
 )
-def test_malformed_config_value_exits_1(tmp_path, capsys, command, field):
+def test_malformed_config_value_exits_1(tmp_path, capsys, command, field, name):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"potential": {"type": "free"}, **field}))
     argv = [command, "--config", str(bad), "--out", str(tmp_path / "o")]
@@ -201,6 +214,7 @@ def test_malformed_config_value_exits_1(tmp_path, capsys, command, field):
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"worldline {command}: bad configuration: ")
+    assert re.search(rf"\b{name}\b", err[0].split(": bad configuration: ", 1)[1])
     assert not (tmp_path / "o").exists()
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -184,3 +186,22 @@ def test_diagnose_with_reference_arrays(free_cfg, free_solution):
     report = wl.diagnose(free_solution.state, free_cfg, reference=(t_ref, x_ref))
     assert report.eps_l2_x <= 1e-10
     assert report.q_x is not None
+
+
+def test_solve_and_diagnose_build_the_operator_once(monkeypatch):
+    builds = []
+    build = wl.action.build_operator
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(wl.action, "build_operator", counted)
+    cfg = wl.ProblemConfig(potential=wl.linear_potential(0.25), n_gamma=16)
+    wl.diagnose(wl.solve(cfg).state, cfg)
+    assert builds == [("sbp21", 16, 1 / 15)]
+    assert cfg.build_operator() is cfg.build_operator()
+    # the cached operator is not a field: a fresh copy builds its own
+    assert replace(cfg) == cfg
+    assert replace(cfg).build_operator() is not cfg.build_operator()
+    assert len(builds) == 2

@@ -110,12 +110,20 @@ def test_stored_entries_match_the_dense_views(grid, dgamma, init_value, seed):
     u1 = np.append(u, 1.0)
     d, dbar = op.d, reg.dbar
     m = dbar[:n, :n]
+    # one operator type: regularize changes the values and the shift only
+    assert isinstance(reg, wl.SbpOperator)
+    assert reg.rows is op.rows and reg.cols is op.cols and reg.h is op.h
+    # a classical operator has no shift, and the last row of its dbar is e_n
+    op_bar = op.dbar
+    assert np.all(op_bar[:n, n] == 0.0)
+    assert np.array_equal(op_bar[n], np.eye(1, n + 1, n)[0])
 
     # each product sums a few terms; compare against the size of those terms
     def close(got, want, scale):
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
     close(op.apply(u), d @ u, np.abs(d) @ np.abs(u))
+    close(op.apply(u), (op_bar @ u1)[:-1], (np.abs(op_bar) @ np.abs(u1))[:-1])
     close(op.apply_t(v), d.T @ v, np.abs(d.T) @ np.abs(v))
     close(reg.apply(u), (dbar @ u1)[:-1], (np.abs(dbar) @ np.abs(u1))[:-1])
     close(reg.apply_t(v), m.T @ v, np.abs(m.T) @ np.abs(v))
