@@ -31,7 +31,8 @@ point.  The only Hessian built is R H P, with those rows and the columns
 (t1, x1) point by point, then lam_5..lam_8.  It has no branch-2 column, so
 ``hessian(t, x)`` assembles it from branch 1 alone into LAPACK band storage
 (kl/ku = 8/2 for sbp21, 14/6 for sbp42), which ``BandedHessian.solve``
-factors in place with ``dgbsv``, in O(n).
+factors in place with ``dgbsv``, in O(n).  Which band slot each term fills
+depends on the grid alone: one pattern per grid is cached, within a byte budget.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -175,6 +177,8 @@ class ProblemConfig:
     gamma_i: float = 0.0
     gamma_f: float = 1.0
     order: str = "sbp21"
+
+    __hash__ = None  # not hashable: the potential's params are a dict
 
     def __post_init__(self):
         if not isinstance(self.order, str):
@@ -374,14 +378,32 @@ class BandedHessian:
         return dy
 
 
+# R H P band patterns by grid (family, n, dgamma), least recently used first, and
+# their byte budget; a config key would miss on each new initial value or potential
+_PATTERNS: dict = {}
+_PATTERNS_LOCK = threading.Lock()
+_BUDGET = 16 << 20
+
+
+def _cached_pattern(key: tuple, build: Callable[[], tuple]) -> tuple:
+    """The pattern of grid ``key``: cached, or built and cached if it fits."""
+    with _PATTERNS_LOCK:
+        pattern = _PATTERNS.pop(key, None) or build()
+        if sum(a.nbytes for a in pattern[:4]) <= _BUDGET:
+            _PATTERNS[key] = pattern  # now the most recently used
+        while sum(a.nbytes for p in _PATTERNS.values() for a in p[:4]) > _BUDGET:
+            del _PATTERNS[next(iter(_PATTERNS))]
+    return pattern
+
+
 class DiscreteAction:
     """Evaluator for the discrete action, its gradient, and R H P.
 
-    The configuration's classical operator ``op``, its regularized copies
-    ``reg_t`` and ``reg_x`` (the same matrix M, each with its own shift), the
-    8 x 4n constraint Jacobian and the band pattern of R H P are assembled
-    once at construction.  The multiplier constraints read their initial
-    data from ``cfg``.
+    The configuration's classical operator ``op`` and its regularized copies
+    ``reg_t`` and ``reg_x`` (the same matrix M, each with its own shift) are
+    built per action; the branch-1 constraint Jacobian and the band pattern
+    of R H P once per grid, shared read-only within a byte budget.  The
+    multiplier constraints read their initial data from ``cfg``.
     """
 
     def __init__(self, cfg: ProblemConfig):
@@ -391,20 +413,20 @@ class DiscreteAction:
         self.reg_t = regularize(self.op, cfg.t_i)
         self.reg_x = regularize(self.op, cfg.x_i)
         self.h = self.op.h
-        self._jac = self.constraint_jacobian()
-        # its branch-1 columns, (t1, x1) point by point
-        jac1 = self._jac.reshape(8, 4, self.n)[:, ::2].transpose(0, 2, 1)
-        self._jac1 = jac1.reshape(8, 2 * self.n)
-        self._band_pattern()
+        pattern = _cached_pattern((cfg.order, self.n, cfg.dgamma), self._band_pattern)
+        self._jac1, self._slot, self._coef, self._weight = pattern[:4]
+        self.kl, self.ku, self._ldab = pattern[4:]
 
-    def _band_pattern(self) -> None:
-        """Record the band slot, coefficient and weight of every term of R H P.
+    def _band_pattern(self) -> tuple:
+        """The constraint Jacobian on branch 1 and the band pattern of R H P.
 
         The weight vector ``hessian`` builds holds g00 h, g00' h wt and
         1/2 g00'' h wt^2 of branch 1 at each grid point, then a constant 1.
         A term contributes coefficient * weight to its slot of the band.
         """
         n = self.n
+        jac1 = self.constraint_jacobian().reshape(8, 4, n)[:, ::2]
+        jac1 = jac1.transpose(0, 2, 1).reshape(8, 2 * n)  # (t1, x1) point by point
         # columns of t1 and x1; their rows lie 4 further down, below lam_1..lam_4
         t, x = 2 * np.arange(n), 2 * np.arange(n) + 1
         const = 3 * n
@@ -429,18 +451,20 @@ class DiscreteAction:
 
         # the constraint Jacobian on (t1, x1): rows lam_1..lam_4 of R H P,
         # and its columns lam_5..lam_8 transposed
-        jac = self._jac1
-        r, c = np.nonzero(jac[:4])
-        terms.append((r, c, jac[r, c], np.full(r.size, const)))
-        r, c = np.nonzero(jac[4:])
-        terms.append((4 + c, 2 * n + r, jac[4 + r, c], np.full(r.size, const)))
+        r, c = np.nonzero(jac1[:4])
+        terms.append((r, c, jac1[r, c], np.full(r.size, const)))
+        r, c = np.nonzero(jac1[4:])
+        terms.append((4 + c, 2 * n + r, jac1[4 + r, c], np.full(r.size, const)))
 
-        rows, cols, self._coef, self._weight = map(np.concatenate, zip(*terms))
-        self.kl = int(np.max(rows - cols))
-        self.ku = int(np.max(cols - rows))
+        rows, cols, coef, weight = map(np.concatenate, zip(*terms))
+        kl, ku = int(np.max(rows - cols)), int(np.max(cols - rows))
         # column-major slots: each column's band rows are contiguous
-        self._ldab = 2 * self.kl + self.ku + 1
-        self._slot = cols * self._ldab + self.kl + self.ku + rows - cols
+        ldab = 2 * kl + ku + 1
+        slot = cols * ldab + kl + ku + rows - cols
+        arrays = (jac1, slot, coef, weight)
+        for a in arrays:
+            a.flags.writeable = False
+        return (*arrays, kl, ku, ldab)
 
     def _check(self, *coords) -> None:
         for u in coords:
@@ -451,7 +475,7 @@ class DiscreteAction:
 
     def _initial_residuals(self, t, x) -> list:
         """The residuals of lam_1..lam_4 for the coordinates t, x."""
-        cfg, d_first = self.cfg, self._jac[1, : self.n]  # row 0 of D
+        cfg, d_first = self.cfg, self._jac1[1, ::2]  # row 0 of D
         return [
             t[0] - cfg.t_i,
             d_first @ t - cfg.tdot_i,
@@ -464,7 +488,7 @@ class DiscreteAction:
         self._check(s.t1)
         # row n-1 of D; each residual takes its own dot products, so
         # (D t1)[-1] - (D t2)[-1] rounds as a difference of two end values
-        d_last = self._jac[6, : self.n]
+        d_last = self._jac1[6, ::2]
         return np.array(
             [
                 *self._initial_residuals(s.t1, s.x1),

@@ -103,6 +103,12 @@ def scaled_max_err(a, b):
     return float(np.max(np.abs(a - b) / (1.0 + np.abs(b))))
 
 
+@pytest.fixture(autouse=True)
+def empty_pattern_cache():
+    """Start each test with no cached R H P pattern, whatever ran before it."""
+    wl.action._PATTERNS.clear()
+
+
 @pytest.fixture(scope="session")
 def linear_cfg():
     """The constant-force setup: alpha = 1/4, unit initial data."""

@@ -90,6 +90,13 @@ def test_config_json_rejects_unknown_potential():
         wl.ProblemConfig.from_json('{"potential": {"type": "morse"}}')
 
 
+@pytest.mark.parametrize("pot", [wl.linear_potential(0.25), wl.free_potential()])
+def test_config_is_not_hashable(pot):
+    # a potential's params are a dict; the band-pattern cache keys on the grid
+    with pytest.raises(TypeError, match="unhashable type: 'ProblemConfig'"):
+        hash(wl.ProblemConfig(potential=pot))
+
+
 # ---------------------------------------------------------------- state
 
 
@@ -305,8 +312,96 @@ def test_large_grid_stores_only_linear_size_arrays(order):
     hess = action.hessian(s.t1, s.x1)
     assert np.all(np.isfinite(hess.ab))
     assert (hess.kl, hess.ku) == {"sbp21": (8, 2), "sbp42": (14, 6)}[order]
-    # the largest are R H P's per-term arrays, about 41 n entries for sbp42,
-    # and the 8 x 4n constraint Jacobian; an n x n operator would hold 4096 n
+    # the largest are R H P's per-term arrays, 40.99 n entries for sbp42 (the
+    # branch-1 constraint Jacobian holds 16 n); an n x n operator would hold 4096 n
     held = [action, action.op, action.reg_t, action.reg_x]
     sizes = [a.size for obj in held for a in vars(obj).values() if isinstance(a, np.ndarray)]
-    assert max(sizes) <= 64 * n
+    assert max(sizes) <= 41 * n
+
+
+# ---------------------------------------------------------------- pattern cache
+
+PATTERN = ("_jac1", "_slot", "_coef", "_weight")
+
+
+def held_bytes():
+    return sum(a.nbytes for p in wl.action._PATTERNS.values() for a in p[:4])
+
+
+def test_configs_on_one_grid_share_one_read_only_pattern():
+    cfg = wl.ProblemConfig(
+        potential=wl.linear_potential(0.25), n_gamma=24, order="sbp42"
+    )
+    other = replace(
+        cfg, potential=wl.quartic_potential(0.5), t_i=0.3, x_i=-0.4, xdot_i=0.2
+    )
+    first, second = wl.DiscreteAction(cfg), wl.DiscreteAction(other)
+    assert list(wl.action._PATTERNS) == [("sbp42", 24, 1 / 23)]
+    for name in PATTERN:
+        assert getattr(second, name) is getattr(first, name)
+        assert not getattr(first, name).flags.writeable
+    assert (second.kl, second.ku, second._ldab) == (first.kl, first.ku, first._ldab)
+
+
+@pytest.mark.parametrize("order", ["sbp21", "sbp42"])
+def test_cached_pattern_gives_the_hessian_of_a_fresh_build(order):
+    cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=20, order=order)
+    s = random_state(cfg, np.random.default_rng(4))
+    filler = wl.DiscreteAction(replace(cfg, potential=wl.free_potential(), x_i=0.6))
+    cached = wl.DiscreteAction(cfg)
+    assert cached._slot is filler._slot
+    wl.action._PATTERNS.clear()
+    fresh = wl.DiscreteAction(cfg)
+    assert fresh._slot is not cached._slot
+    band = cached.hessian(s.t1, s.x1).ab
+    assert band.tobytes() == fresh.hessian(s.t1, s.x1).ab.tobytes()
+
+
+def test_another_grid_spacing_gets_its_own_pattern():
+    cfg = wl.ProblemConfig(potential=wl.free_potential(), n_gamma=16)
+    first = wl.DiscreteAction(cfg)
+    wider = wl.DiscreteAction(replace(cfg, gamma_f=2.0))
+    assert list(wl.action._PATTERNS) == [("sbp21", 16, 1 / 15), ("sbp21", 16, 2 / 15)]
+    assert wider._coef is not first._coef
+    assert not np.array_equal(wider._coef, first._coef)
+
+
+def test_pattern_cache_stays_within_its_byte_budget(monkeypatch):
+    cfgs = [
+        wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=n)
+        for n in (32, 48, 64, 128)
+    ]
+    actions = [wl.DiscreteAction(c) for c in cfgs]
+    sizes = [sum(getattr(a, f).nbytes for f in PATTERN) for a in actions]
+    wl.action._PATTERNS.clear()
+    budget = sizes[1] + sizes[2]
+    monkeypatch.setattr(wl.action, "_BUDGET", budget)
+    for cfg in [cfgs[0], cfgs[1], cfgs[0], cfgs[2]]:
+        wl.solve(cfg)
+        assert held_bytes() <= budget
+    # n = 48, the least recently used grid, went first
+    assert [key[1] for key in wl.action._PATTERNS] == [32, 64]
+    # a pattern over the budget is built, used and dropped, and evicts nothing
+    assert sizes[3] > budget
+    wl.solve(cfgs[3])
+    assert [key[1] for key in wl.action._PATTERNS] == [32, 64]
+
+
+def test_each_action_builds_one_operator_and_regularizes_it_twice(monkeypatch):
+    calls = []
+    for name in ("build_operator", "regularize"):
+
+        def counted(*args, _name=name, _call=getattr(wl.action, name)):
+            calls.append(_name)
+            return _call(*args)
+
+        monkeypatch.setattr(wl.action, name, counted)
+    once = ["build_operator", "regularize", "regularize"]
+    cfg = wl.ProblemConfig(
+        potential=wl.quartic_potential(0.5), n_gamma=24, order="sbp42"
+    )
+    wl.DiscreteAction(cfg)  # a miss builds the pattern from the action's operator
+    assert calls == once and len(wl.action._PATTERNS) == 1
+    del calls[:]
+    wl.DiscreteAction(replace(cfg, x_i=0.4))  # a hit; a new config builds its operator
+    assert calls == once and len(wl.action._PATTERNS) == 1
