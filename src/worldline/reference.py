@@ -10,20 +10,25 @@ the variational scheme:
       d2x/dt2 = -(V'(x)/m) (1 - (dx/dt)^2 / c^2)^(3/2).
 
 Agreement between the two after reparametrization validates the oracle
-itself.  Both run scipy's DOP853 with no step cap, so the tolerance alone
-sets the step count, and read positions from its 7th-order dense output
-(Hairer, Norsett & Wanner, Solving ODEs I, section II.10).  The per-step
-interpolants are stacked into arrays once and evaluated in one vectorised
-pass that reproduces scipy's values bit for bit.
+itself.  Both run one DOP853 stepper on Python floats that takes scipy's
+steps (tableau, initial step, error norm, controller; Hairer, Norsett &
+Wanner, Solving ODEs I, sections II.5-II.6) with no step cap, so the
+tolerance alone sets the step count.  Positions come from the 7th-order
+dense output (section II.10), built for all steps in one vectorised pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from array import array
+from itertools import chain
+from operator import mul
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853
+from scipy.optimize import brentq
 
 from .action import ProblemConfig, geodesic_rhs
 from .diagnostics import diagnose
@@ -46,6 +51,10 @@ __all__ = [
 _RTOL_FLOOR = 2.5e-14
 _STUDY_TOL = 1e-14  # the studies' oracle tolerance, the tightest _check_tol accepts
 
+# scipy's DOP853 tableau as Python floats: stages 2..12, weights, error estimators
+_A = tuple(tuple(row[:s]) for s, row in enumerate(DOP853.A.tolist()))[1:]
+_B, _E3, _E5 = (tuple(c.tolist()) for c in (DOP853.B, DOP853.E3, DOP853.E5))
+
 
 class StiffnessSuspected(StepFailure):
     """Step size collapsed below the spacing of representable numbers."""
@@ -60,46 +69,91 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"oracle tolerance must lie in [1e-14, 1e-6], got {tol}")
 
 
-def _run_ivp(rhs, span, y0, tol, events=None):
-    # a blow-up surfaces as sol.success == False, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # DOP853 never leaves a start point with a non-finite derivative: its
-        # step size turns into nan and the step loop spins
-        if not np.all(np.isfinite(rhs(span[0], np.asarray(y0, dtype=float)))):
-            raise StepFailure("the right-hand side is not finite at the initial point")
-        sol = solve_ivp(
-            rhs,
-            span,
-            y0,
-            method="DOP853",
-            rtol=max(tol, _RTOL_FLOOR),
-            atol=tol,
-            dense_output=True,
-            events=events,
-        )
-    if not sol.success:
-        message = sol.message or ""
-        if "step size" in message.lower():
-            raise StiffnessSuspected(message)
-        raise StepFailure(message)
-    return sol
+def _initial_step(rhs, y0, f0, length, rtol, atol):
+    # scipy's select_initial_step for order 7, on numpy floats: x / 0 is inf
+    y0, f0 = np.array(y0), np.array(f0)
+    scale, root_n = atol + np.abs(y0) * rtol, len(y0) ** 0.5
+    d0, d1 = np.linalg.norm(np.array([y0, f0]) / scale, axis=1) / root_n
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, length)
+    d2 = np.linalg.norm((np.array(rhs(y0 + h0 * f0)) - f0) / scale) / root_n / h0
+    flat = d1 <= 1e-15 and d2 <= 1e-15
+    h1 = max(1e-6, h0 * 1e-3) if flat else (0.01 / max(d1, d2)) ** (1 / 8)
+    return float(min(100 * h0, h1, length))
 
 
-def _dense_output(sol):
-    """Evaluator of DOP853's per-step interpolants, stacked into arrays once.
+# the numpy fallback of the right-hand sides overflows into inf and nan
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _dop853(rhs, span, y0, tol, event=None):
+    """scipy's DOP853 steps for y' = rhs(y) at rtol max(tol, _RTOL_FLOOR), atol tol.
 
-    One vectorised pass gives scipy's values bit for bit: the same segment
-    (the earlier step at a step boundary, clipped at the ends) and the same
-    Horner order.  Shape (dim,) for a scalar t, (dim, len(t)) for an array.
+    Returns the step points, the states (dim, points), the dense output and
+    whether ``event(y)`` changed sign over the last step, which ends the run.
     """
-    steps, ts = sol.sol.interpolants, sol.sol.ts
-    t_old, h = np.array([s.t_old for s in steps]), np.array([s.h for s in steps])
-    coeffs = np.stack([s.F for s in steps])  # (steps, 7, dim)
-    y_old = np.stack([s.y_old for s in steps])
+    (t, t_end), rtol, atol = span, max(tol, _RTOL_FLOOR), tol
+    y, f = list(y0), rhs(y0)
+    # a non-finite derivative at the start turns the step size into nan
+    if not all(map(math.isfinite, f)):
+        raise StepFailure("the right-hand side is not finite at the initial point")
+    h_abs = _initial_step(rhs, y, f, t_end - t, rtol, atol)
+    ts, ys, stages, crossed = [t], [y], array("d"), False  # 13 stages a step
+    g = event(y) if event else None
+    while t < t_end and not crossed:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if not h_abs >= min_step:  # a nan step size ends here too
+                raise StiffnessSuspected(
+                    "Required step size is less than spacing between numbers."
+                )
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            ks = [f]
+            for a in _A:  # u + (sum_j a_j k_j) h per component, as scipy sums
+                ks.append(rhs([u + sum(map(mul, a, k)) * h for u, k in zip(y, zip(*ks))]))
+            y_new = [u + h * sum(map(mul, _B, k)) for u, k in zip(y, zip(*ks))]
+            ks.append(rhs(y_new))
+            # scipy's error norm: the E5 estimate, damped where E3 exceeds it
+            e5 = e3 = 0.0
+            for u, v, k in zip(y, y_new, zip(*ks)):
+                scale = atol + max(abs(u), abs(v)) * rtol
+                r5, r3 = sum(map(mul, _E5, k)) / scale, sum(map(mul, _E3, k)) / scale
+                e5, e3 = e5 + r5 * r5, e3 + r3 * r3
+            error = e5 and abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error ** -0.125)
+                h_abs = abs(h) * (min(1, factor) if rejected else factor)
+                break
+            h_abs, rejected = abs(h) * max(0.2, 0.9 * error ** -0.125), True
+        t, y, f = t_new, y_new, ks[-1]
+        ts.append(t)
+        ys.append(y)
+        stages.extend(chain.from_iterable(ks))
+        if event is not None:
+            g, g_old = event(y), g
+            crossed = g_old <= 0 <= g or g_old >= 0 >= g
+    return np.array(ts), np.array(ys).T, _dense_output(rhs, ts, ys, stages), crossed
+
+
+def _dense_output(rhs, ts, ys, stages):
+    """scipy's DOP853 interpolants of all steps, built in one vectorised pass.
+
+    A step boundary takes the earlier step; shape (dim,) or (dim, len(t)).
+    """
+    ts = np.array(ts)
+    t_old, h = ts[:-1], np.diff(ts)
+    y_old, delta = np.array(ys[:-1]), np.diff(ys, axis=0)  # (steps, dim)
+    k = np.pad(np.reshape(stages, (len(h), 13, -1)), ((0, 0), (0, 3), (0, 0)))
+    for s, a in enumerate(DOP853.A_EXTRA, start=13):  # the 3 extra stages
+        k[:, s] = np.array(rhs((y_old + (a[:s] @ k[:, :s]) * h[:, None]).T)).T
+    coeffs = np.empty((len(h), 7, y_old.shape[1]))  # (steps, 7, dim)
+    coeffs[:, 0] = delta
+    coeffs[:, 1] = h[:, None] * k[:, 0] - delta
+    coeffs[:, 2] = 2 * delta - h[:, None] * (k[:, 12] + k[:, 0])
+    coeffs[:, 3:] = h[:, None, None] * (DOP853.D @ k)
 
     def evaluate(t):
         t = np.asarray(t)
-        seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(steps) - 1)
+        seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(h) - 1)
         x = ((t - t_old[seg]) / h[seg])[..., None]
         y = np.zeros_like(y_old[seg])
         for i, f in enumerate(np.moveaxis(coeffs[seg], -2, 0)[::-1]):
@@ -128,14 +182,13 @@ class ReferenceTrajectory:
         return self._dense(gamma)[2]
 
 
-def _geodesic_rhs(cfg: ProblemConfig):
-    def rhs(_gamma, y):
-        # Python floats are ~5x cheaper than numpy scalars but raise on overflow
-        # in ** and on division by zero, where numpy gives inf or nan
+def _floats_first(f, *args):
+    # floats are ~5x cheaper than numpy scalars but raise where numpy gives inf or nan
+    def rhs(y):
         try:
-            return geodesic_rhs(y.tolist(), cfg)
+            return f(y, *args)
         except (OverflowError, ZeroDivisionError):
-            return geodesic_rhs(y, cfg)
+            return f(np.array(y), *args)
 
     return rhs
 
@@ -144,9 +197,9 @@ def solve_geodesic_ode(cfg: ProblemConfig, tol: float = 1e-12) -> ReferenceTraje
     """Integrate the geodesic system over [gamma_i, gamma_f]."""
     _check_tol(tol)
     span, y0 = (cfg.gamma_i, cfg.gamma_f), (cfg.t_i, cfg.tdot_i, cfg.x_i, cfg.xdot_i)
-    sol = _run_ivp(_geodesic_rhs(cfg), span, y0, tol)
-    t, td, x, xd = sol.y
-    return ReferenceTrajectory(sol.t, t, x, td, xd, _dense_output(sol))
+    rhs = _floats_first(geodesic_rhs, cfg)
+    gamma, (t, td, x, xd), dense, _ = _dop853(rhs, span, y0, tol)
+    return ReferenceTrajectory(gamma, t, x, td, xd, dense)
 
 
 @dataclass(frozen=True)
@@ -174,29 +227,26 @@ def solve_physical_eom(
     _check_tol(tol)
     if abs(cfg.v_init) >= cfg.c:
         raise SuperluminalVelocity("initial velocity is not below c")
-
+    if not t_final > cfg.t_i:
+        raise ValueError(f"t_final must exceed t_i = {cfg.t_i}, got {t_final}")
     pot, m, c = cfg.potential, cfg.m, cfg.c
 
-    def rhs(_t, y):
+    def eom(y):
         x, u = y
-        return (u, -(pot.dv(x) / m) * (1.0 - (u / c) ** 2) ** 1.5)
+        w = 1.0 - (u / c) * (u / c)
+        if not isinstance(w, np.ndarray) and w < 0.0:
+            w = math.nan  # numpy's value; a Python float's w ** 1.5 is complex
+        return (u, -(pot.dv(x) / m) * w ** 1.5)
 
-    def near_lightspeed(_t, y):
+    def below_c(y):
         return c * (1.0 - 1e-6) - abs(y[1])
 
-    near_lightspeed.terminal = True
-
-    sol = _run_ivp(
-        rhs, (cfg.t_i, t_final), (cfg.x_i, cfg.v_init), tol, events=near_lightspeed
-    )
-    if sol.status == 1:
-        raise SuperluminalVelocity(
-            f"|dx/dt| reached c at t = {sol.t_events[0][0]:.6g}"
-        )
-    x, u = sol.y
-    return PhysicalTrajectory(
-        t_samples=sol.t, x_samples=x, v_samples=u, _dense=_dense_output(sol)
-    )
+    span, y0 = (cfg.t_i, t_final), (cfg.x_i, cfg.v_init)
+    t, (x, u), dense, crossed = _dop853(_floats_first(eom), span, y0, tol, below_c)
+    if crossed:  # located on the last step's interpolant, as scipy locates events
+        t_c = brentq(lambda s: below_c(dense(s)), *t[-2:], xtol=4 * np.finfo(float).eps)
+        raise SuperluminalVelocity(f"|dx/dt| reached c at t = {t_c:.6g}")
+    return PhysicalTrajectory(t_samples=t, x_samples=x, v_samples=u, _dense=dense)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import worldline as wl
 from worldline import reference
+from worldline.action import geodesic_rhs
 from worldline.reference import _ERROR_COLUMNS
 
 
@@ -47,15 +51,11 @@ def test_oracle_self_consistency(quartic_cfg):
 
 def _tight_geodesic(cfg):
     # an independent, much tighter and step-capped run of the same system
-    from scipy.integrate import solve_ivp
-
-    from worldline.reference import _geodesic_rhs
-
     span = (cfg.gamma_i, cfg.gamma_f)
+    y0 = (cfg.t_i, cfg.tdot_i, cfg.x_i, cfg.xdot_i)
     return solve_ivp(
-        _geodesic_rhs(cfg), span, (cfg.t_i, cfg.tdot_i, cfg.x_i, cfg.xdot_i),
-        method="DOP853", rtol=2.5e-14, atol=1e-15,
-        max_step=(span[1] - span[0]) / 4096, dense_output=True,
+        lambda _g, y: geodesic_rhs(y, cfg), span, y0, method="DOP853",
+        rtol=2.5e-14, atol=1e-15, max_step=(span[1] - span[0]) / 4096, dense_output=True,
     )
 
 
@@ -81,19 +81,6 @@ def test_oracle_dense_output_error(cfg_fixture, tdot, request):
         assert np.max(np.abs(traj.x(gamma) - x_ref)) <= bound
 
 
-def _captured_runs(monkeypatch):
-    # the scipy solutions the oracles build their trajectories from
-    runs = []
-
-    def run_ivp(*args, **kwargs):
-        runs.append(real(*args, **kwargs))
-        return runs[-1]
-
-    real = reference._run_ivp
-    monkeypatch.setattr(reference, "_run_ivp", run_ivp)
-    return runs
-
-
 def _probe_points(samples, lo, hi):
     # every step boundary, both ends and interior points, in shuffled order
     rng = np.random.default_rng(7)
@@ -101,30 +88,73 @@ def _probe_points(samples, lo, hi):
     return rng.permutation(points)
 
 
-@pytest.mark.parametrize("cfg_fixture", ["linear_cfg", "quartic_cfg"])
-def test_dense_output_is_scipys_bit_for_bit(cfg_fixture, request, monkeypatch):
-    cfg = request.getfixturevalue(cfg_fixture)
-    runs = _captured_runs(monkeypatch)
-    geo = wl.solve_geodesic_ode(cfg, 1e-12)
-    t_end = float(geo.t_samples[-1])
-    phys = wl.solve_physical_eom(cfg, 1e-12, t_final=t_end)
-    geo_sol, phys_sol = (run.sol for run in runs)
+def _assert_follows_scipy(ours, samples, rhs, span, y0, tol, rows):
+    # scipy's solve_ivp at the oracle's own tolerances: the same steps and,
+    # up to rounding in the stage sums, the same dense output
+    sol = solve_ivp(
+        rhs, span, y0, method="DOP853", rtol=max(tol, reference._RTOL_FLOOR),
+        atol=tol, dense_output=True,
+    )
+    assert len(samples) == len(sol.t)
+    probes = _probe_points(samples, *span)
+    for row, i in enumerate(rows):
+        want = sol.sol(probes)[i]
+        assert np.all(np.abs(ours[row](probes) - want) <= 1e-14 * (1 + np.abs(want)))
+    for p in (span[0], 0.37 * span[0] + 0.63 * span[1], span[1]):
+        for row, i in enumerate(rows):
+            got, want = ours[row](p), sol.sol(p)[i]
+            assert np.shape(got) == () and abs(got - want) <= 1e-14 * (1 + abs(want))
 
-    gamma = _probe_points(geo.gamma_samples, cfg.gamma_i, cfg.gamma_f)
-    np.testing.assert_array_equal(geo.t(gamma), geo_sol(gamma)[0])
-    np.testing.assert_array_equal(geo.x(gamma), geo_sol(gamma)[2])
-    t = _probe_points(phys.t_samples, cfg.t_i, t_end)
-    np.testing.assert_array_equal(phys.x(t), phys_sol(t)[0])
-    for g in (cfg.gamma_i, 0.37, cfg.gamma_f):
-        assert geo.t(g) == geo_sol(g)[0] and np.shape(geo.t(g)) == ()
-        assert geo.x(g) == geo_sol(g)[2] and np.shape(geo.x(g)) == ()
-    assert phys.x(0.37) == phys_sol(0.37)[0] and np.shape(phys.x(0.37)) == ()
+
+@pytest.mark.parametrize("cfg_fixture", ["linear_cfg", "quartic_cfg"])
+def test_oracles_follow_scipys_dop853(cfg_fixture, request):
+    cfg = request.getfixturevalue(cfg_fixture)
+    pot, tol = cfg.potential, 1e-12
+    cases = [(cfg, tol)]
+    if cfg_fixture == "quartic_cfg":  # the stretched oracle of scaled_tdot_study
+        cases.append((replace(cfg, gamma_f=8.0), reference._STUDY_TOL))
+    for c, c_tol in cases:
+        geo = wl.solve_geodesic_ode(c, c_tol)
+        y0 = (c.t_i, c.tdot_i, c.x_i, c.xdot_i)
+        _assert_follows_scipy(
+            (geo.t, geo.x), geo.gamma_samples, lambda _g, y: geodesic_rhs(y, c),
+            (c.gamma_i, c.gamma_f), y0, c_tol, (0, 2),
+        )
+
+    def eom(_t, y):
+        return (y[1], -(pot.dv(y[0]) / cfg.m) * (1.0 - (y[1] / cfg.c) ** 2) ** 1.5)
+
+    t_end = float(wl.solve_geodesic_ode(cfg, tol).t_samples[-1])
+    phys = wl.solve_physical_eom(cfg, tol, t_final=t_end)
+    _assert_follows_scipy(
+        (phys.x,), phys.t_samples, eom, (cfg.t_i, t_end), (cfg.x_i, cfg.v_init), tol,
+        (0,),
+    )
 
 
 def test_oracle_step_count_set_by_tolerance(quartic_cfg):
     # a step cap of span/512 would force at least 512 steps here
     traj = wl.solve_geodesic_ode(quartic_cfg, 1e-12)
     assert len(traj.gamma_samples) < 64
+
+
+def test_oracle_releases_its_memory():
+    # the scaled-tdot study's oracle, run as often as a long benchmark would;
+    # a stepper keeping references per call or per step grows by MBs here
+    cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), gamma_f=8.0)
+    for _ in range(3):
+        wl.solve_geodesic_ode(cfg, 1e-14)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(100):
+            wl.solve_geodesic_ode(cfg, 1e-14)
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 64 * 1024
 
 
 def test_tolerance_range_enforced(free_cfg):
@@ -153,8 +183,6 @@ def test_geodesic_matches_t_parametrized_form(linear_cfg):
     # reduce the geodesic system to physical time analytically:
     # dv/dt = -V'(x) (1 - 2 v^2 / g00); integrating that form independently
     # must agree with the gamma-parametrized integration to oracle accuracy
-    from scipy.integrate import solve_ivp
-
     geo = wl.solve_geodesic_ode(linear_cfg, 1e-12)
     t_end = float(geo.t_samples[-1])
 
@@ -195,8 +223,17 @@ def test_superluminal_velocity_detected():
     cfg = wl.ProblemConfig(
         potential=wl.linear_potential(-100.0), n_gamma=8, x_i=0.0, xdot_i=0.0
     )
-    with pytest.raises(wl.SuperluminalVelocity):
-        wl.solve_physical_eom(cfg, 1e-10, t_final=50.0)
+    # v = a t / sqrt(1 + (a t)^2) with a = 100 reaches c (1 - 1e-6) at t = 7.07106
+    for tol in (1e-10, 1e-12):
+        with pytest.raises(wl.SuperluminalVelocity, match="reached c at t = 7.07106"):
+            wl.solve_physical_eom(cfg, tol, t_final=50.0)
+    # a fast particle pushed back: trial stages of this run overshoot c, where
+    # (1 - (u/c)^2)^1.5 of a Python float is complex and numpy's is nan
+    pushed = replace(cfg, potential=wl.linear_potential(100.0), xdot_i=0.9)
+    traj = wl.solve_physical_eom(pushed, 1e-6, t_final=1.0)
+    dense = traj.x(traj.t_samples)
+    for samples in (traj.t_samples, traj.x_samples, traj.v_samples, dense):
+        assert samples.dtype == np.float64 and np.all(np.isfinite(samples))
 
 
 def test_step_collapse_reported_as_stiffness():
