@@ -13,17 +13,18 @@ Agreement between the two after reparametrization validates the oracle
 itself.  Both run one DOP853 stepper on Python floats that takes scipy's
 steps (tableau, initial step, error norm, controller; Hairer, Norsett &
 Wanner, Solving ODEs I, sections II.5-II.6) with no step cap, so the
-tolerance alone sets the step count.  Positions come from the 7th-order
-dense output (section II.10), built for all steps in one vectorised pass.
+tolerance alone sets the step count.  Its stage sums are straight-line code
+generated from scipy's tableau, as a loop over it cost four times the
+right-hand sides.  Positions come from the 7th-order dense output (II.10).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from array import array
 from itertools import chain
-from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -51,10 +52,6 @@ __all__ = [
 _RTOL_FLOOR = 2.5e-14
 _STUDY_TOL = 1e-14  # the studies' oracle tolerance, the tightest _check_tol accepts
 
-# scipy's DOP853 tableau as Python floats: stages 2..12, weights, error estimators
-_A = tuple(tuple(row[:s]) for s, row in enumerate(DOP853.A.tolist()))[1:]
-_B, _E3, _E5 = (tuple(c.tolist()) for c in (DOP853.B, DOP853.E3, DOP853.E5))
-
 
 class StiffnessSuspected(StepFailure):
     """Step size collapsed below the spacing of representable numbers."""
@@ -81,6 +78,33 @@ def _initial_step(rhs, y0, f0, length, rtol, atol):
     return float(min(100 * h0, h1, length))
 
 
+@functools.cache
+def _tableau_sums(dim):
+    """scipy's DOP853 tableau sums for states of length dim, as generated code.
+
+    The stage inputs, the solution, the E5 and E3 sums: one short function
+    each, as tracemalloc scans a function's line table for every new float.
+    """
+    # A zero coefficient is left out, which changes at most the sign of a zero
+    # sum of finite stages.  An inf stage times 0 is nan in a loop; here the sum
+    # stays inf.  The oracles' right-hand sides keep such inputs non-finite, so
+    # either way the error is nan: the step is rejected and shrinks by 0.2.
+    def each(form):  # form for every component i, each followed by a comma
+        return "".join(form.format(i=i) + ", " for i in range(dim))
+
+    a, b, e5, e3 = (c.tolist() for c in (DOP853.A, DOP853.B, DOP853.E5, DOP853.E3))
+    rows, namespace = [a[s][:s] for s in range(1, 12)] + [b, e5, e3], {}
+    forms = ["y{{i}} + ({}) * h"] * 11 + ["y{{i}} + h * ({})", "{}", "{}"]
+    for n, (coeffs, form) in enumerate(zip(rows, forms)):
+        used = [j for j, c in enumerate(coeffs) if c]
+        terms = " + ".join(f"{coeffs[j]!r} * k{j}_{{i}}" for j in used)
+        source = [f"def sums{n}(y, h, ks):", f"    {each('y{i}')}= y"]
+        source += [f"    {each(f'k{j}_{{i}}')}= ks[{j}]" for j in used]
+        source.append(f"    return {each(form.format(terms))}")
+        exec("\n".join(source), namespace)  # one at a time: a smaller peak
+    return [namespace[f"sums{n}"] for n in range(len(rows))]
+
+
 # the numpy fallback of the right-hand sides overflows into inf and nan
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _dop853(rhs, span, y0, tol, event=None):
@@ -95,6 +119,7 @@ def _dop853(rhs, span, y0, tol, event=None):
     if not all(map(math.isfinite, f)):
         raise StepFailure("the right-hand side is not finite at the initial point")
     h_abs = _initial_step(rhs, y, f, t_end - t, rtol, atol)
+    *stage_inputs, solution, err5, err3 = _tableau_sums(len(y))
     ts, ys, stages, crossed = [t], [y], array("d"), False  # 13 stages a step
     g = event(y) if event else None
     while t < t_end and not crossed:
@@ -108,15 +133,15 @@ def _dop853(rhs, span, y0, tol, event=None):
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             ks = [f]
-            for a in _A:  # u + (sum_j a_j k_j) h per component, as scipy sums
-                ks.append(rhs([u + sum(map(mul, a, k)) * h for u, k in zip(y, zip(*ks))]))
-            y_new = [u + h * sum(map(mul, _B, k)) for u, k in zip(y, zip(*ks))]
+            for stage_input in stage_inputs:
+                ks.append(rhs(stage_input(y, h, ks)))
+            y_new = solution(y, h, ks)
             ks.append(rhs(y_new))
             # scipy's error norm: the E5 estimate, damped where E3 exceeds it
             e5 = e3 = 0.0
-            for u, v, k in zip(y, y_new, zip(*ks)):
+            for u, v, r5, r3 in zip(y, y_new, err5(y, h, ks), err3(y, h, ks)):
                 scale = atol + max(abs(u), abs(v)) * rtol
-                r5, r3 = sum(map(mul, _E5, k)) / scale, sum(map(mul, _E3, k)) / scale
+                r5, r3 = r5 / scale, r3 / scale
                 e5, e3 = e5 + r5 * r5, e3 + r3 * r3
             error = e5 and abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
             if error < 1:

@@ -1,10 +1,20 @@
+import contextlib
 import gc
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from array import array
 from dataclasses import replace
+from functools import reduce
+from itertools import chain
+from operator import add, mul
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 import worldline as wl
 from worldline import reference
@@ -132,24 +142,211 @@ def test_oracles_follow_scipys_dop853(cfg_fixture, request):
     )
 
 
+# scipy's DOP853 tableau as Python floats: stages 2..12, weights, error estimators
+_A = tuple(tuple(row[:s]) for s, row in enumerate(DOP853.A.tolist()))[1:]
+_B, _E3, _E5 = (tuple(c.tolist()) for c in (DOP853.B, DOP853.E3, DOP853.E5))
+
+
+def _left_sum(terms):
+    # sum() up to Python 3.11; from 3.12 on, sum() compensates float rounding
+    return reduce(add, terms, 0)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _loop_dop853(rhs, span, y0, tol, event=None):
+    """The reference stepper: reference._dop853 with a loop over the tableau."""
+    (t, t_end), rtol, atol = span, max(tol, reference._RTOL_FLOOR), tol
+    y, f = list(y0), rhs(y0)
+    if not all(map(math.isfinite, f)):
+        raise wl.StepFailure("the right-hand side is not finite at the initial point")
+    h_abs = reference._initial_step(rhs, y, f, t_end - t, rtol, atol)
+    ts, ys, stages, crossed = [t], [y], array("d"), False
+    g = event(y) if event else None
+    while t < t_end and not crossed:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if not h_abs >= min_step:
+                raise wl.StiffnessSuspected(
+                    "Required step size is less than spacing between numbers."
+                )
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            ks = [f]
+            for a in _A:  # u + (sum_j a_j k_j) h per component, as scipy sums
+                stage = [u + _left_sum(map(mul, a, k)) * h for u, k in zip(y, zip(*ks))]
+                ks.append(rhs(stage))
+            y_new = [u + h * _left_sum(map(mul, _B, k)) for u, k in zip(y, zip(*ks))]
+            ks.append(rhs(y_new))
+            e5 = e3 = 0.0
+            for u, v, k in zip(y, y_new, zip(*ks)):
+                scale = atol + max(abs(u), abs(v)) * rtol
+                r5 = _left_sum(map(mul, _E5, k)) / scale
+                r3 = _left_sum(map(mul, _E3, k)) / scale
+                e5, e3 = e5 + r5 * r5, e3 + r3 * r3
+            error = e5 and abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+            if error < 1:
+                factor = 10 if error == 0 else min(10, 0.9 * error ** -0.125)
+                h_abs = abs(h) * (min(1, factor) if rejected else factor)
+                break
+            h_abs, rejected = abs(h) * max(0.2, 0.9 * error ** -0.125), True
+        t, y, f = t_new, y_new, ks[-1]
+        ts.append(t)
+        ys.append(y)
+        stages.extend(chain.from_iterable(ks))
+        if event is not None:
+            g, g_old = event(y), g
+            crossed = g_old <= 0 <= g or g_old >= 0 >= g
+    dense = reference._dense_output(rhs, ts, ys, stages)
+    return np.array(ts), np.array(ys).T, dense, crossed
+
+
+# the systems of test_step_collapse_reported_as_stiffness and
+# test_superluminal_velocity_detected
+_INVERTED_QUARTIC = wl.ProblemConfig(
+    potential=wl.quartic_potential(-1.0), n_gamma=8, x_i=0.8, xdot_i=0.2, gamma_f=5.0
+)
+_LIGHT_SPEED = wl.ProblemConfig(
+    potential=wl.linear_potential(-100.0), n_gamma=8, x_i=0.0, xdot_i=0.0
+)
+
+# one oracle run each, of the quartic setup unless named otherwise
+_ORACLE_RUNS = {
+    "geodesic-1e-12": lambda cfg: wl.solve_geodesic_ode(cfg, 1e-12),
+    "geodesic-1e-14": lambda cfg: wl.solve_geodesic_ode(cfg, 1e-14),
+    "stretched": lambda cfg: wl.solve_geodesic_ode(replace(cfg, gamma_f=8.0), 1e-14),
+    "physical": lambda cfg: wl.solve_physical_eom(cfg, 1e-12, t_final=1.47),
+    "physical-light-speed-stop": lambda _: wl.solve_physical_eom(
+        _LIGHT_SPEED, 1e-12, t_final=50.0
+    ),
+    "physical-nan-stages": lambda _: wl.solve_physical_eom(
+        replace(_LIGHT_SPEED, potential=wl.linear_potential(100.0), xdot_i=0.9),
+        1e-6, t_final=1.0,
+    ),
+    "collapse": lambda _: wl.solve_geodesic_ode(_INVERTED_QUARTIC, 1e-10),
+    "collapse-numpy-fallback": lambda cfg: wl.solve_geodesic_ode(
+        replace(cfg, n_gamma=8, x_i=1e78), 1e-10
+    ),
+}
+
+
+def _run_recorded(stepper, rhs, args):
+    """Run a stepper, recording every state the right-hand side is given."""
+    calls = []
+
+    def recorded(y):
+        calls.append(np.array(y, dtype=float))
+        return rhs(y)
+
+    try:
+        ts, ys, dense, crossed = stepper(recorded, *args)
+    except wl.StiffnessSuspected as exc:
+        return str(exc), calls
+    return (ts, ys, dense(np.linspace(*args[0], 301)), crossed), calls
+
+
+def _bits(arrays):
+    return [(np.shape(a), np.asarray(a, dtype=float).tobytes()) for a in arrays]
+
+
+@pytest.mark.parametrize("case", list(_ORACLE_RUNS))
+def test_generated_sums_step_as_the_tableau_loop(case, quartic_cfg, monkeypatch):
+    # the run's one _dop853 call is repeated by both steppers
+    captured, generated = [], reference._dop853
+
+    def spy(*args):
+        captured.append(args)
+        return generated(*args)
+
+    monkeypatch.setattr(reference, "_dop853", spy)
+    with contextlib.suppress(wl.StepFailure, wl.SuperluminalVelocity):
+        _ORACLE_RUNS[case](quartic_cfg)
+    assert len(captured) == 1
+    rhs, *args = captured[0]
+    got, got_calls = _run_recorded(generated, rhs, args)
+    want, want_calls = _run_recorded(_loop_dop853, rhs, args)
+    # the same trial steps, so the same rejections, on the same states: bit
+    # for bit, down to the sign of zeros and the nans of overshooting stages
+    assert _bits(got_calls) == _bits(want_calls)
+    if case.startswith("collapse"):
+        assert got == want and want.startswith("Required step size")
+        return
+    assert _bits(got[:3]) == _bits(want[:3])  # step points, states, dense values
+    assert got[3] == want[3] == (case == "physical-light-speed-stop")
+    if case in ("stretched", "physical-nan-stages"):  # runs that reject steps
+        # 2 calls before the first step, 12 a trial step, 3 for the dense output
+        assert (len(got_calls) - 5) // 12 > len(got[0]) - 1
+
+
+# y' = rhs(y) from y0, with its exact solution: a decay, and a rotation and a decay
+_LINEAR_SYSTEMS = {
+    1: (lambda y: (-0.5 * y[0],), (2.0,), lambda t: [2.0 * np.exp(-0.5 * t)]),
+    3: (
+        lambda y: (y[1], -y[0], -0.5 * y[2]),
+        (1.0, 0.0, 2.0),
+        lambda t: [np.cos(t), -np.sin(t), 2.0 * np.exp(-0.5 * t)],
+    ),
+}
+
+
+@pytest.mark.parametrize("dim", sorted(_LINEAR_SYSTEMS))
+def test_generated_sums_serve_any_dimension_built_once(dim):
+    rhs, y0, exact = _LINEAR_SYSTEMS[dim]
+    span, tol = (0.0, 5.0), 1e-10
+    ts, ys, dense, _ = reference._dop853(rhs, span, y0, tol)
+    built = reference._tableau_sums.cache_info().misses
+    again = reference._dop853(rhs, span, y0, tol)
+    assert reference._tableau_sums.cache_info().misses == built
+    assert np.array_equal(again[1], ys) and ys.shape == (dim, len(ts))
+    t = np.linspace(*span, 101)
+    np.testing.assert_allclose(dense(t), exact(t), rtol=0, atol=1e-8)
+    np.testing.assert_allclose(ys, exact(ts), rtol=0, atol=1e-8)
+    sol = solve_ivp(
+        lambda _t, y: rhs(y), span, y0, method="DOP853",
+        rtol=max(tol, reference._RTOL_FLOOR), atol=tol,
+    )
+    assert len(ts) == len(sol.t)
+
+
+def test_generated_sums_are_not_built_at_import():
+    # solves that never call the oracle must not pay for generating its code
+    src = str(Path(reference.__file__).resolve().parents[1])
+    probe = (
+        "import worldline, worldline.cli; from worldline import reference; "
+        "print(reference._tableau_sums.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "0"
+
+
 def test_oracle_step_count_set_by_tolerance(quartic_cfg):
     # a step cap of span/512 would force at least 512 steps here
     traj = wl.solve_geodesic_ode(quartic_cfg, 1e-12)
     assert len(traj.gamma_samples) < 64
 
 
-def test_oracle_releases_its_memory():
-    # the scaled-tdot study's oracle, run as often as a long benchmark would;
-    # a stepper keeping references per call or per step grows by MBs here
+@pytest.mark.parametrize("oracle", ["geodesic", "physical"])
+def test_oracle_releases_its_memory(oracle):
+    # the scaled-tdot study's oracle, and the physical oracle over its window,
+    # run as often as a long benchmark would; a stepper keeping references per
+    # call or per step grows by MBs here
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), gamma_f=8.0)
+    t_end = float(wl.solve_geodesic_ode(cfg, 1e-14).t_samples[-1])
+    run = {
+        "geodesic": lambda: wl.solve_geodesic_ode(cfg, 1e-14),
+        "physical": lambda: wl.solve_physical_eom(cfg, 1e-14, t_final=t_end),
+    }[oracle]
     for _ in range(3):
-        wl.solve_geodesic_ode(cfg, 1e-14)
+        run()
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for _ in range(100):
-            wl.solve_geodesic_ode(cfg, 1e-14)
+            run()
         gc.collect()
         growth = tracemalloc.get_traced_memory()[0] - before
     finally:
