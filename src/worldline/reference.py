@@ -13,7 +13,7 @@ Agreement between the two after reparametrization validates the oracle
 itself.  Both run one DOP853 stepper on Python floats that takes scipy's
 steps (tableau, initial step, error norm, controller; Hairer, Norsett &
 Wanner, Solving ODEs I, sections II.5-II.6) with no step cap, so the
-tolerance alone sets the step count.  Its stage sums are straight-line code
+tolerance alone sets the step count.  Its trial step is straight-line code
 generated from scipy's tableau, as a loop over it cost four times the
 right-hand sides.  Positions come from the 7th-order dense output (II.10).
 """
@@ -24,7 +24,6 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from array import array
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -79,11 +78,13 @@ def _initial_step(rhs, y0, f0, length, rtol, atol):
 
 
 @functools.cache
-def _tableau_sums(dim):
-    """scipy's DOP853 tableau sums for states of length dim, as generated code.
+def _trial_step(dim):
+    """scipy's DOP853 trial step for states of length dim, as generated code.
 
-    The stage inputs, the solution, the E5 and E3 sums: one short function
-    each, as tracemalloc scans a function's line table for every new float.
+    ``step(rhs, y, f, h, rtol, atol)`` returns the solution, the 13 stages
+    flattened stage by stage (the last is rhs at the solution) and scipy's
+    error norm, every sum written out with literal coefficients in the order
+    of a loop over the tableau.
     """
     # A zero coefficient is left out, which changes at most the sign of a zero
     # sum of finite stages.  An inf stage times 0 is nan in a loop; here the sum
@@ -92,17 +93,27 @@ def _tableau_sums(dim):
     def each(form):  # form for every component i, each followed by a comma
         return "".join(form.format(i=i) + ", " for i in range(dim))
 
+    def terms(coeffs, i="{i}"):  # sum_j c_j k_j for component i
+        return " + ".join(f"{c!r} * k{j}_{i}" for j, c in enumerate(coeffs) if c)
+
     a, b, e5, e3 = (c.tolist() for c in (DOP853.A, DOP853.B, DOP853.E5, DOP853.E3))
-    rows, namespace = [a[s][:s] for s in range(1, 12)] + [b, e5, e3], {}
-    forms = ["y{{i}} + ({}) * h"] * 11 + ["y{{i}} + h * ({})", "{}", "{}"]
-    for n, (coeffs, form) in enumerate(zip(rows, forms)):
-        used = [j for j, c in enumerate(coeffs) if c]
-        terms = " + ".join(f"{coeffs[j]!r} * k{j}_{{i}}" for j in used)
-        source = [f"def sums{n}(y, h, ks):", f"    {each('y{i}')}= y"]
-        source += [f"    {each(f'k{j}_{{i}}')}= ks[{j}]" for j in used]
-        source.append(f"    return {each(form.format(terms))}")
-        exec("\n".join(source), namespace)  # one at a time: a smaller peak
-    return [namespace[f"sums{n}"] for n in range(len(rows))]
+    lines = ["def step(rhs, y, f, h, rtol, atol):", each("y{i}") + "= y"]
+    lines.append(each("k0_{i}") + "= f")
+    for s in range(1, 12):
+        stage = each(f"y{{i}} + ({terms(a[s][:s])}) * h")
+        lines.append(f"{each(f'k{s}_{{i}}')}= rhs(({stage}))")
+    lines.append(f"y_new = {each('n{i}')}= {each(f'y{{i}} + h * ({terms(b)})')}")
+    lines += [f"{each('k12_{i}')}= rhs(y_new)", "e5 = e3 = 0.0"]
+    for i in range(dim):  # scipy's error norm: E5, damped where E3 exceeds it
+        lines.append(f"s = atol + max(abs(y{i}), abs(n{i})) * rtol")
+        lines.append(f"r5, r3 = ({terms(e5, i)}) / s, ({terms(e3, i)}) / s")
+        lines.append("e5, e3 = e5 + r5 * r5, e3 + r3 * r3")
+    lines.append(f"error = e5 and abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {dim})")
+    stages = "".join(each(f"k{s}_{{i}}") for s in range(13))
+    lines.append(f"return y_new, ({stages}), error")
+    namespace = {"sqrt": math.sqrt}
+    exec("\n    ".join(lines), namespace)
+    return namespace["step"]
 
 
 # the numpy fallback of the right-hand sides overflows into inf and nan
@@ -119,7 +130,7 @@ def _dop853(rhs, span, y0, tol, event=None):
     if not all(map(math.isfinite, f)):
         raise StepFailure("the right-hand side is not finite at the initial point")
     h_abs = _initial_step(rhs, y, f, t_end - t, rtol, atol)
-    *stage_inputs, solution, err5, err3 = _tableau_sums(len(y))
+    step = _trial_step(len(y))
     ts, ys, stages, crossed = [t], [y], array("d"), False  # 13 stages a step
     g = event(y) if event else None
     while t < t_end and not crossed:
@@ -132,27 +143,16 @@ def _dop853(rhs, span, y0, tol, event=None):
                 )
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            ks = [f]
-            for stage_input in stage_inputs:
-                ks.append(rhs(stage_input(y, h, ks)))
-            y_new = solution(y, h, ks)
-            ks.append(rhs(y_new))
-            # scipy's error norm: the E5 estimate, damped where E3 exceeds it
-            e5 = e3 = 0.0
-            for u, v, r5, r3 in zip(y, y_new, err5(y, h, ks), err3(y, h, ks)):
-                scale = atol + max(abs(u), abs(v)) * rtol
-                r5, r3 = r5 / scale, r3 / scale
-                e5, e3 = e5 + r5 * r5, e3 + r3 * r3
-            error = e5 and abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+            y_new, ks, error = step(rhs, y, f, h, rtol, atol)
             if error < 1:
                 factor = 10 if error == 0 else min(10, 0.9 * error ** -0.125)
                 h_abs = abs(h) * (min(1, factor) if rejected else factor)
                 break
             h_abs, rejected = abs(h) * max(0.2, 0.9 * error ** -0.125), True
-        t, y, f = t_new, y_new, ks[-1]
+        t, y, f = t_new, y_new, ks[-len(y):]
         ts.append(t)
         ys.append(y)
-        stages.extend(chain.from_iterable(ks))
+        stages.extend(ks)
         if event is not None:
             g, g_old = event(y), g
             crossed = g_old <= 0 <= g or g_old >= 0 >= g
@@ -250,8 +250,6 @@ def solve_physical_eom(
     gamma_i).
     """
     _check_tol(tol)
-    if abs(cfg.v_init) >= cfg.c:
-        raise SuperluminalVelocity("initial velocity is not below c")
     if not t_final > cfg.t_i:
         raise ValueError(f"t_final must exceed t_i = {cfg.t_i}, got {t_final}")
     pot, m, c = cfg.potential, cfg.m, cfg.c
@@ -334,7 +332,7 @@ def _row_from_solution(cfg, sol: Solution, oracle, oracle_gamma) -> ConvergenceR
     report = diagnose(sol.state, cfg, (t_ref, x_ref))
     measures = (*_ERROR_COLUMNS, "delta_e_end", "max_interior_delta_e")
     return ConvergenceRow(
-        cfg.n_gamma, cfg.dgamma, *(getattr(report, name) for name in measures)
+        int(cfg.n_gamma), cfg.dgamma, *(getattr(report, name) for name in measures)
     )
 
 
@@ -347,17 +345,15 @@ def convergence_study(
     tolerance it accepts: the smallest tabulated errors reach ~1e-10, and
     its own must stay far below them.
     """
-    n_list = [int(n) for n in n_list]
+    cfgs = [replace(cfg, n_gamma=n) for n in n_list]  # a bad size fails here
+    n_list = [c.n_gamma for c in cfgs]
     if len(n_list) < 3:
         raise ValueError("a convergence study needs at least three grids")
     if sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
         raise ValueError("n_list must be strictly ascending")
 
     oracle = solve_geodesic_ode(cfg, _STUDY_TOL)
-    rows = []
-    for n in n_list:
-        c = replace(cfg, n_gamma=n)
-        rows.append(_row_from_solution(c, solve(c, opts), oracle, c.gamma_grid))
+    rows = [_row_from_solution(c, solve(c, opts), oracle, c.gamma_grid) for c in cfgs]
     return ConvergenceTable(rows=tuple(rows))
 
 
@@ -374,15 +370,14 @@ def scaled_tdot_study(
     tdot_i = 1 oracle over max(tdot_list) windows serves every row.  It
     runs after the solves, so a row that cannot be solved is reported first.
     """
-    if not n_list or len(n_list) != len(tdot_list):
+    if not len(n_list) or len(n_list) != len(tdot_list):
         raise ValueError("n_list and tdot_list must be non-empty and of equal length")
-    runs = []
-    for n, tdot in zip(n_list, tdot_list):
-        row_cfg = replace(
-            cfg, n_gamma=int(n), tdot_i=float(tdot), xdot_i=cfg.v_init * float(tdot)
-        )
-        runs.append((row_cfg, solve(row_cfg, opts)))
-    span = max(c.tdot_i for c, _ in runs) * (cfg.gamma_f - cfg.gamma_i)
+    cfgs = [  # a bad size fails before the first solve
+        replace(cfg, n_gamma=n, tdot_i=float(tdot), xdot_i=cfg.v_init * float(tdot))
+        for n, tdot in zip(n_list, tdot_list)
+    ]
+    runs = [(c, solve(c, opts)) for c in cfgs]
+    span = max(c.tdot_i for c in cfgs) * (cfg.gamma_f - cfg.gamma_i)
     stretched = replace(cfg, tdot_i=1.0, xdot_i=cfg.v_init, gamma_f=cfg.gamma_i + span)
     oracle = solve_geodesic_ode(stretched, _STUDY_TOL)
     rows = []

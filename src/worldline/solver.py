@@ -111,11 +111,15 @@ class SolveOptions:
     max_iter: int = 200
 
     def __post_init__(self):
-        # an infinite grad_tol would accept the initial guess as converged
-        if not 0 < self.grad_tol < np.inf:
+        # an infinite grad_tol would accept the initial guess as converged, and
+        # a bool is a number to Python: True would mean 1.0, or one iteration
+        grad_tol, max_iter = self.grad_tol, self.max_iter
+        if isinstance(grad_tol, (bool, np.bool_)) or not 0 < grad_tol < np.inf:
             raise ValueError("grad_tol must be positive and finite")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
-            raise ValueError("max_iter must be an integer >= 1")
+        if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+        if max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from array import array
 from dataclasses import replace
 from functools import reduce
@@ -294,9 +293,9 @@ def test_generated_sums_serve_any_dimension_built_once(dim):
     rhs, y0, exact = _LINEAR_SYSTEMS[dim]
     span, tol = (0.0, 5.0), 1e-10
     ts, ys, dense, _ = reference._dop853(rhs, span, y0, tol)
-    built = reference._tableau_sums.cache_info().misses
+    built = reference._trial_step.cache_info().misses
     again = reference._dop853(rhs, span, y0, tol)
-    assert reference._tableau_sums.cache_info().misses == built
+    assert reference._trial_step.cache_info().misses == built
     assert np.array_equal(again[1], ys) and ys.shape == (dim, len(ts))
     t = np.linspace(*span, 101)
     np.testing.assert_allclose(dense(t), exact(t), rtol=0, atol=1e-8)
@@ -313,7 +312,7 @@ def test_generated_sums_are_not_built_at_import():
     src = str(Path(reference.__file__).resolve().parents[1])
     probe = (
         "import worldline, worldline.cli; from worldline import reference; "
-        "print(reference._tableau_sums.cache_info().currsize)"
+        "print(reference._trial_step.cache_info().currsize)"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
@@ -331,8 +330,9 @@ def test_oracle_step_count_set_by_tolerance(quartic_cfg):
 @pytest.mark.parametrize("oracle", ["geodesic", "physical"])
 def test_oracle_releases_its_memory(oracle):
     # the scaled-tdot study's oracle, and the physical oracle over its window,
-    # run as often as a long benchmark would; a stepper keeping references per
-    # call or per step grows by MBs here
+    # run as often as a long benchmark would; a stepper keeping one reference
+    # per call grows by ~500 live blocks here, one array per run by ~100 and
+    # one float per step by ~27000
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), gamma_f=8.0)
     t_end = float(wl.solve_geodesic_ode(cfg, 1e-14).t_samples[-1])
     run = {
@@ -342,16 +342,11 @@ def test_oracle_releases_its_memory(oracle):
     for _ in range(3):
         run()
     gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        for _ in range(100):
-            run()
-        gc.collect()
-        growth = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert growth < 64 * 1024
+    before = sys.getallocatedblocks()
+    for _ in range(100):
+        run()
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 50
 
 
 def test_tolerance_range_enforced(free_cfg):
@@ -463,6 +458,32 @@ def test_convergence_study_requires_three_ascending_grids(linear_cfg):
         wl.convergence_study(linear_cfg, [32, 16, 64])
     with pytest.raises(ValueError):
         wl.convergence_study(linear_cfg, [16, 16, 32])
+
+
+@pytest.mark.parametrize("study", ["convergence", "scaled-tdot"])
+def test_studies_refuse_a_fractional_grid_size_before_any_work(
+    study, linear_cfg, monkeypatch
+):
+    # a size is never truncated: the bad row fails before the oracle and any solve
+    calls = []
+    for name in ("solve_geodesic_ode", "solve"):
+        monkeypatch.setattr(reference, name, lambda *_, n=name, **__: calls.append(n))
+    with pytest.raises(wl.InvalidConfig, match="n_gamma"):
+        if study == "convergence":
+            wl.convergence_study(linear_cfg, [16, 32.7, 64])
+        else:
+            wl.scaled_tdot_study(linear_cfg, [16, 32.5], [1.0, 2.0])
+    assert calls == []
+
+
+def test_studies_accept_numpy_grid_sizes(linear_cfg):
+    n_list = np.array([8, 16, 32])
+    for run in (
+        lambda n: wl.convergence_study(linear_cfg, n),
+        lambda n: wl.scaled_tdot_study(linear_cfg, n, [1.0, 2.0, 2.0]),
+    ):
+        got, want = run(n_list).rows, run([8, 16, 32]).rows
+        assert got == want and all(type(r.n_gamma) is int for r in got)
 
 
 def test_convergence_study_smoke(linear_cfg):

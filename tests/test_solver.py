@@ -135,12 +135,14 @@ def test_solve_options_validation():
     with pytest.raises(ValueError):
         wl.SolveOptions(grad_tol=0.0)
     # an infinite tolerance would report the initial guess as converged
-    for bad in (np.inf, np.nan):
+    # True is 1.0 to Python
+    for bad in (np.inf, np.nan, True, np.True_):
         with pytest.raises(ValueError):
             wl.SolveOptions(grad_tol=bad)
     with pytest.raises(ValueError):
         wl.SolveOptions(max_iter=0)
-    for bad in (-1, 2.5, 20.0):
+    # True would run one iteration
+    for bad in (-1, 2.5, 20.0, True, np.True_):
         with pytest.raises(ValueError):
             wl.SolveOptions(max_iter=bad)
     wl.SolveOptions(max_iter=1)
