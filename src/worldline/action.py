@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .sbp import MIN_POINTS, SbpOperator, build_operator, regularize
 
@@ -251,8 +250,11 @@ class ProblemConfig:
     def from_json_dict(cls, data: dict) -> "ProblemConfig":
         if not isinstance(data, dict):
             raise InvalidConfig(f"configuration must be a JSON object, got {data!r}")
+        pot_spec = data.get("potential")
+        if not isinstance(pot_spec, dict):
+            raise InvalidConfig(f"potential must be a JSON object, got {pot_spec!r}")
         try:
-            pot_spec = dict(data["potential"])
+            pot_spec = dict(pot_spec)
             pot_type = pot_spec.pop("type")
             potential = _POTENTIAL_BUILDERS[pot_type](**pot_spec)
         except (KeyError, TypeError) as exc:
@@ -368,9 +370,10 @@ class BandedHessian:
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """dy with R H P dy = -r; the band LU overwrites ``ab``, or raises LinAlgError."""
+        from scipy.linalg.lapack import dgbsv  # loaded on first use, not at import
         if not np.all(np.isfinite(self.ab)):
             raise np.linalg.LinAlgError("non-finite Hessian")
-        _, _, dy, info = scipy.linalg.lapack.dgbsv(
+        _, _, dy, info = dgbsv(
             self.kl, self.ku, self.ab, -r, overwrite_ab=True, overwrite_b=True
         )
         if info != 0 or not np.all(np.isfinite(dy)):

@@ -232,11 +232,10 @@ def diagnose(
     given, is a pair (t_ref, x_ref) sampled on the same gamma grid, or any
     object with callables ``t`` and ``x``.
     """
-    gap_t = float(np.max(np.abs(state.t1 - state.t2)))
-    gap_x = float(np.max(np.abs(state.x1 - state.x2)))
-    if max(gap_t, gap_x) > _LIMIT_TOL:
+    gap = float(np.max(np.abs([state.t1 - state.t2, state.x1 - state.x2])))
+    if not gap <= _LIMIT_TOL:  # a nan gap fails too
         raise PhysicalLimitViolation(
-            f"branches differ by {max(gap_t, gap_x):.3e} (tolerance {_LIMIT_TOL:.1e})"
+            f"branches differ by {gap:.3e} (tolerance {_LIMIT_TOL:.1e})"
         )
 
     t, x = state.t1, state.x1

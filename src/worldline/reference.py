@@ -27,8 +27,6 @@ from array import array
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
 from .action import ProblemConfig, geodesic_rhs
 from .diagnostics import diagnose
@@ -86,6 +84,7 @@ def _trial_step(dim):
     error norm, every sum written out with literal coefficients in the order
     of a loop over the tableau.
     """
+    from scipy.integrate import DOP853  # scipy.integrate loads on the first oracle
     # A zero coefficient is left out, which changes at most the sign of a zero
     # sum of finite stages.  An inf stage times 0 is nan in a loop; here the sum
     # stays inf.  The oracles' right-hand sides keep such inputs non-finite, so
@@ -164,6 +163,7 @@ def _dense_output(rhs, ts, ys, stages):
 
     A step boundary takes the earlier step; shape (dim,) or (dim, len(t)).
     """
+    from scipy.integrate import DOP853
     ts = np.array(ts)
     t_old, h = ts[:-1], np.diff(ts)
     y_old, delta = np.array(ys[:-1]), np.diff(ys, axis=0)  # (steps, dim)
@@ -267,6 +267,7 @@ def solve_physical_eom(
     span, y0 = (cfg.t_i, t_final), (cfg.x_i, cfg.v_init)
     t, (x, u), dense, crossed = _dop853(_floats_first(eom), span, y0, tol, below_c)
     if crossed:  # located on the last step's interpolant, as scipy locates events
+        from scipy.optimize import brentq
         t_c = brentq(lambda s: below_c(dense(s)), *t[-2:], xtol=4 * np.finfo(float).eps)
         raise SuperluminalVelocity(f"|dx/dt| reached c at t = {t_c:.6g}")
     return PhysicalTrajectory(t_samples=t, x_samples=x, v_samples=u, _dense=dense)
@@ -372,10 +373,11 @@ def scaled_tdot_study(
     """
     if not len(n_list) or len(n_list) != len(tdot_list):
         raise ValueError("n_list and tdot_list must be non-empty and of equal length")
-    cfgs = [  # a bad size fails before the first solve
-        replace(cfg, n_gamma=n, tdot_i=float(tdot), xdot_i=cfg.v_init * float(tdot))
-        for n, tdot in zip(n_list, tdot_list)
-    ]
+    cfgs = []
+    for n, tdot in zip(n_list, tdot_list):  # a bad row fails before the first solve
+        row = replace(cfg, n_gamma=n, tdot_i=tdot, xdot_i=0.0)  # checks tdot as given
+        tdot = float(tdot)
+        cfgs.append(replace(row, tdot_i=tdot, xdot_i=cfg.v_init * tdot))
     runs = [(c, solve(c, opts)) for c in cfgs]
     span = max(c.tdot_i for c in cfgs) * (cfg.gamma_f - cfg.gamma_i)
     stretched = replace(cfg, tdot_i=1.0, xdot_i=cfg.v_init, gamma_f=cfg.gamma_i + span)

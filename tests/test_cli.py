@@ -197,6 +197,9 @@ MALFORMED_FIELDS = [
     ({"m": None}, "m"),
     ({"c": [1.0]}, "c"),
     ({"n_gamma": True}, "n_gamma"),
+    # a potential is a JSON object, not a name or a list
+    ({"potential": "quartic"}, "potential"),
+    ({"potential": ["type", "quartic"]}, "potential"),
 ]
 
 

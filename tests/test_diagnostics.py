@@ -163,11 +163,14 @@ def test_error_norms_dimension_mismatch():
 
 def test_diagnose_rejects_split_branches(free_cfg):
     s = straight_line_state(free_cfg)
-    split = wl.StateVector(
-        t1=s.t1, t2=s.t2 + 1e-6, x1=s.x1, x2=s.x2, lam=s.lam
-    )
-    with pytest.raises(wl.PhysicalLimitViolation):
-        wl.diagnose(split, free_cfg)
+    nan_at_5 = np.where(np.arange(s.n) == 5, np.nan, 0.0)
+    for split in (
+        replace(s, t2=s.t2 + 1e-6),
+        replace(s, t2=s.t2 + nan_at_5),  # a nan gap is no agreement
+        replace(s, x2=s.x2 + nan_at_5),
+    ):
+        with pytest.raises(wl.PhysicalLimitViolation):
+            wl.diagnose(split, free_cfg)
 
 
 def test_diagnose_report_contents(linear_cfg, linear_solution):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from array import array
 from dataclasses import replace
 from functools import reduce
@@ -307,18 +308,45 @@ def test_generated_sums_serve_any_dimension_built_once(dim):
     assert len(ts) == len(sol.t)
 
 
-def test_generated_sums_are_not_built_at_import():
-    # solves that never call the oracle must not pay for generating its code
+def test_generated_sums_are_not_built_at_import(tmp_path):
+    # solves that never call the oracle must not pay for generating its code,
+    # nor for importing scipy.integrate and scipy.optimize; commands that never
+    # solve must not import scipy at all
     src = str(Path(reference.__file__).resolve().parents[1])
-    probe = (
-        "import worldline, worldline.cli; from worldline import reference; "
-        "print(reference._trial_step.cache_info().currsize)"
-    )
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"potential": {"type": "quartic", "kappa": 0.5}, "n_gamma": 16}')
+    bad.write_text('{"potential": "quartic"}')
+    probe = textwrap.dedent("""
+        import contextlib, io, sys
+        import worldline, worldline.cli
+        from worldline import reference
+        from worldline.cli import main
+
+        good, bad, out = sys.argv[1:]
+        def loaded(code=None):
+            names = ("scipy", "scipy.linalg", "scipy.integrate", "scipy.optimize")
+            print(code, [m for m in names if m in sys.modules])
+
+        loaded()
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["dump-operator", "--order", "sbp42", "--n", "16", "--dgamma", "0.1"])
+        loaded(code)
+        loaded(main(["solve", "--config", bad, "--out", out]))
+        loaded(main(["solve", "--config", good, "--out", out]))
+        print(reference._trial_step.cache_info().currsize)
+    """)
+    argv = [sys.executable, "-c", probe, str(good), str(bad), str(tmp_path / "out")]
     out = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        argv, env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True, timeout=120,
     )
-    assert out.stdout.strip() == "0"
+    assert out.stdout.splitlines() == [
+        "None []",
+        "0 []",
+        "1 []",
+        "0 ['scipy', 'scipy.linalg']",
+        "0",
+    ]
 
 
 def test_oracle_step_count_set_by_tolerance(quartic_cfg):
@@ -468,21 +496,28 @@ def test_studies_refuse_a_fractional_grid_size_before_any_work(
     calls = []
     for name in ("solve_geodesic_ode", "solve"):
         monkeypatch.setattr(reference, name, lambda *_, n=name, **__: calls.append(n))
-    with pytest.raises(wl.InvalidConfig, match="n_gamma"):
-        if study == "convergence":
-            wl.convergence_study(linear_cfg, [16, 32.7, 64])
-        else:
-            wl.scaled_tdot_study(linear_cfg, [16, 32.5], [1.0, 2.0])
+
+    def scaled(n_list, tdot):
+        return lambda: wl.scaled_tdot_study(linear_cfg, n_list, [1.0, tdot])
+
+    cases = [("n_gamma", lambda: wl.convergence_study(linear_cfg, [16, 32.7, 64]))]
+    if study == "scaled-tdot":  # nor is a tdot converted: True ran as 1.0, "2" as 2.0
+        cases = [("n_gamma", scaled([16, 32.5], 2.0))]
+        cases += [("tdot_i", scaled([16, 32], tdot)) for tdot in (True, "2", None)]
+    for name, run in cases:
+        with pytest.raises(wl.InvalidConfig, match=name):
+            run()
     assert calls == []
 
 
 def test_studies_accept_numpy_grid_sizes(linear_cfg):
-    n_list = np.array([8, 16, 32])
+    # and numpy tdot values
     for run in (
-        lambda n: wl.convergence_study(linear_cfg, n),
-        lambda n: wl.scaled_tdot_study(linear_cfg, n, [1.0, 2.0, 2.0]),
+        lambda n, _: wl.convergence_study(linear_cfg, n),
+        lambda n, tdots: wl.scaled_tdot_study(linear_cfg, n, tdots),
     ):
-        got, want = run(n_list).rows, run([8, 16, 32]).rows
+        got = run(np.array([8, 16, 32]), np.array([1.0, 2.0, 2.0])).rows
+        want = run([8, 16, 32], [1.0, 2.0, 2.0]).rows
         assert got == want and all(type(r.n_gamma) is int for r in got)
 
 
