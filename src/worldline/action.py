@@ -187,7 +187,9 @@ class ProblemConfig:
         ):
             raise InvalidConfig(f"n_gamma must be an integer, got {self.n_gamma!r}")
         for name in ("m", "c", "t_i", "x_i", "tdot_i", "xdot_i", "gamma_i", "gamma_f"):
-            _require_finite(name, getattr(self, name))
+            value = _finite_coefficient(name, getattr(self, name))
+            object.__setattr__(self, name, value)  # float32 slows the oracle
+        object.__setattr__(self, "n_gamma", int(self.n_gamma))
         object.__setattr__(self, "order", self.order.lower())
         if self.order not in MIN_POINTS:
             raise InvalidConfig(f"unknown operator order {self.order!r}")

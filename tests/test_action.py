@@ -85,6 +85,27 @@ def test_config_json_round_trip():
     assert back.n_gamma == 48 and back.order == "sbp42"
 
 
+_FLOAT_FIELDS = ("m", "c", "t_i", "x_i", "tdot_i", "xdot_i", "gamma_i", "gamma_f")
+
+
+def test_config_stores_plain_python_numbers():
+    # numpy scalars, as numpy grids and float32 data give them, and ints
+    cfg = wl.ProblemConfig(
+        potential=wl.quartic_potential(0.5),
+        n_gamma=np.int64(16),
+        tdot_i=np.float32(2.0),
+        m=np.float32(1.0),
+        xdot_i=np.float64(0.2),
+        c=2,
+    )
+    assert type(cfg.n_gamma) is int
+    assert all(type(getattr(cfg, name)) is float for name in _FLOAT_FIELDS)
+    back = wl.ProblemConfig.from_json(cfg.to_json())
+    assert back.to_json() == cfg.to_json()
+    assert replace(back, potential=cfg.potential) == cfg
+    assert '"c": 2.0' in cfg.to_json()  # an int-valued field is written as a float
+
+
 def test_config_json_rejects_unknown_potential():
     with pytest.raises(wl.InvalidConfig):
         wl.ProblemConfig.from_json('{"potential": {"type": "morse"}}')

@@ -278,6 +278,27 @@ def test_generated_sums_step_as_the_tableau_loop(case, quartic_cfg, monkeypatch)
         assert (len(got_calls) - 5) // 12 > len(got[0]) - 1
 
 
+def _exactly(got, want):
+    # == on floats, and the same sign bit, so that 0.0 and -0.0 differ too
+    got, want = np.asarray(got, dtype=float), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got, want) and np.array_equal(
+        np.signbit(got), np.signbit(want)
+    )
+
+
+def test_tableau_literals_are_scipys_dop853():
+    # the oracle's constants are written out as reprs, which round-trip exactly
+    assert len(reference._DOP853.split()) == 210
+    assert len(reference._A) == 11 and not np.triu(DOP853.A).any()  # row 0 too
+    for s, row in enumerate(reference._A, start=1):
+        assert _exactly(row, DOP853.A[s, :s]), f"A row {s}"
+    for name in ("B", "E5", "E3", "D"):
+        assert _exactly(getattr(reference, f"_{name}"), getattr(DOP853, name)), name
+    assert len(reference._A_EXTRA) == len(DOP853.A_EXTRA) == 3
+    for s, (row, full) in enumerate(zip(reference._A_EXTRA, DOP853.A_EXTRA), start=13):
+        assert _exactly(row, full[:s]) and not full[s:].any(), f"A_EXTRA row {s}"
+
+
 # y' = rhs(y) from y0, with its exact solution: a decay, and a rotation and a decay
 _LINEAR_SYSTEMS = {
     1: (lambda y: (-0.5 * y[0],), (2.0,), lambda t: [2.0 * np.exp(-0.5 * t)]),
@@ -309,9 +330,9 @@ def test_generated_sums_serve_any_dimension_built_once(dim):
 
 
 def test_generated_sums_are_not_built_at_import(tmp_path):
-    # solves that never call the oracle must not pay for generating its code,
-    # nor for importing scipy.integrate and scipy.optimize; commands that never
-    # solve must not import scipy at all
+    # solves that never call the oracle must not pay for generating its code;
+    # no command imports scipy.integrate or scipy.optimize, and commands that
+    # never solve import no scipy at all
     src = str(Path(reference.__file__).resolve().parents[1])
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text('{"potential": {"type": "quartic", "kappa": 0.5}, "n_gamma": 16}')
@@ -334,6 +355,10 @@ def test_generated_sums_are_not_built_at_import(tmp_path):
         loaded(main(["solve", "--config", bad, "--out", out]))
         loaded(main(["solve", "--config", good, "--out", out]))
         print(reference._trial_step.cache_info().currsize)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["sweep", "--config", good, "--out", out, "--n-list", "16,32,64"])
+        loaded(code)
+        print(reference._trial_step.cache_info().currsize)
     """)
     argv = [sys.executable, "-c", probe, str(good), str(bad), str(tmp_path / "out")]
     out = subprocess.run(
@@ -346,7 +371,20 @@ def test_generated_sums_are_not_built_at_import(tmp_path):
         "1 []",
         "0 ['scipy', 'scipy.linalg']",
         "0",
+        "0 ['scipy', 'scipy.linalg']",  # the oracle's tableau is written out
+        "1",
     ]
+
+
+@pytest.mark.parametrize("field", ["tdot_i", "m"])
+def test_oracle_of_a_float32_field_is_the_float_oracle(field):
+    # a float32 field must not turn the Python-float stepper into float32
+    # arithmetic, which took seconds here instead of milliseconds
+    cfg = wl.ProblemConfig(potential=wl.linear_potential(0.25), tdot_i=2.0)
+    as_float32 = replace(cfg, **{field: np.float32(getattr(cfg, field))})
+    want, got = wl.solve_geodesic_ode(cfg), wl.solve_geodesic_ode(as_float32)
+    names = ("gamma_samples", "t_samples", "x_samples", "tdot_samples", "xdot_samples")
+    assert _bits(getattr(got, n) for n in names) == _bits(getattr(want, n) for n in names)
 
 
 def test_oracle_step_count_set_by_tolerance(quartic_cfg):
