@@ -40,8 +40,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 import threading
 from dataclasses import dataclass, field
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -372,15 +375,32 @@ class BandedHessian:
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """dy with R H P dy = -r; the band LU overwrites ``ab``, or raises LinAlgError."""
-        from scipy.linalg.lapack import dgbsv  # loaded on first use, not at import
         if not np.all(np.isfinite(self.ab)):
             raise np.linalg.LinAlgError("non-finite Hessian")
-        _, _, dy, info = dgbsv(
+        _, _, dy, info = _flapack().dgbsv(
             self.kl, self.ku, self.ab, -r, overwrite_ab=True, overwrite_b=True
         )
         if info != 0 or not np.all(np.isfinite(dy)):
             raise np.linalg.LinAlgError("singular or non-finite Newton step")
         return dy
+
+
+_FLAPACK: list = []  # scipy's LAPACK wrapper module, once loaded
+_FLAPACK_LOCK = threading.Lock()
+
+
+def _flapack():
+    """scipy's compiled LAPACK wrappers, loaded from their file: no scipy package is imported."""
+    name = "scipy.linalg._flapack"
+    with _FLAPACK_LOCK:
+        if not _FLAPACK and name not in sys.modules:
+            spec = find_spec("scipy")
+            where = Path(spec.submodule_search_locations[0] if spec else "scipy", "linalg")
+            if len(found := list(where.glob("_flapack.*"))) != 1:
+                raise ImportError(f"found {len(found)} _flapack files in {where}, not one")
+            _FLAPACK.append(module_from_spec(spec_from_file_location(name, found[0])))
+            sys.modules.pop(name, None)  # a later scipy.linalg makes its own, same functions
+        return _FLAPACK[0] if _FLAPACK else sys.modules[name]
 
 
 # R H P band patterns by grid (family, n, dgamma), least recently used first, and

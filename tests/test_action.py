@@ -1,5 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -426,3 +432,120 @@ def test_each_action_builds_one_operator_and_regularizes_it_twice(monkeypatch):
     del calls[:]
     wl.DiscreteAction(replace(cfg, x_i=0.4))  # a hit; a new config builds its operator
     assert calls == once and len(wl.action._PATTERNS) == 1
+
+
+# ---------------------------------------------------------------- LAPACK
+
+_SRC = str(Path(wl.__file__).resolve().parents[1])
+
+
+def _run(script, *args):
+    """Run ``script`` in a fresh interpreter, so that its import order is real."""
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *args],
+        env={**os.environ, "PYTHONPATH": _SRC},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+_SOLVE = textwrap.dedent("""
+    import hashlib, json, sys
+    import numpy as np
+    import worldline as wl
+    from worldline.action import _flapack
+
+    if sys.argv[1] == "scipy.linalg first":
+        import scipy.linalg
+    cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=64, order="sbp42")
+    sol = wl.solve(cfg)
+    got = {"state": hashlib.sha256(sol.state.pack().tobytes()).hexdigest()}
+    got["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+""")
+
+
+def test_scipy_linalg_imported_after_a_solve_shares_its_band_solver():
+    got = _run(_SOLVE + textwrap.dedent("""
+        import scipy.linalg
+        from scipy.linalg import lapack, solve_banded, svdvals
+
+        got["has_flapack"] = hasattr(scipy.linalg, "_flapack")
+        got["same_function"] = lapack.dgbsv is _flapack().dgbsv
+        band = wl.DiscreteAction(cfg).hessian(sol.state.t1, sol.state.x1)
+        r = np.random.default_rng(5).standard_normal(band.ab.shape[1])
+        ours, scipys = (
+            f(band.kl, band.ku, band.ab.copy(order="F"), r.copy())
+            for f in (_flapack().dgbsv, lapack.dgbsv)
+        )
+        got["dgbsv_bits"] = [
+            np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(ours, scipys)
+        ]
+        a = np.diag([4.0, 5.0, 6.0]) + np.diag([1.0, 1.0], 1) + np.diag([2.0, 2.0], -1)
+        ab = np.array([[0.0, 1.0, 1.0], [4.0, 5.0, 6.0], [2.0, 2.0, 0.0]])
+        b = np.array([1.0, -2.0, 3.0])
+        err = solve_banded((1, 1), ab, b) - np.linalg.solve(a, b)
+        got["solve_banded"] = float(np.max(np.abs(err)))
+        m = np.random.default_rng(6).standard_normal((5, 3))
+        err = svdvals(m) - np.linalg.svd(m, compute_uv=False)
+        got["svdvals"] = float(np.max(np.abs(err)))
+        print(json.dumps(got))
+    """), "solve first")
+    assert got["scipy"] == []  # the solve itself imported no scipy package
+    assert got["has_flapack"] and got["same_function"]
+    assert got["dgbsv_bits"] == [True] * 4
+    assert got["solve_banded"] <= 1e-14 and got["svdvals"] <= 1e-14
+
+
+def test_band_solver_gives_one_state_whatever_was_imported_first():
+    script = _SOLVE + textwrap.dedent("""
+        got["loaded_by_scipy"] = _flapack() is sys.modules.get("scipy.linalg._flapack")
+        print(json.dumps(got))
+    """)
+    first, after = (_run(script, order) for order in ("solve first", "scipy.linalg first"))
+    assert first["state"] == after["state"]
+    assert not first["loaded_by_scipy"] and after["loaded_by_scipy"]
+
+
+@pytest.mark.parametrize("files", [[], ["_flapack.so", "_flapack.abi3.so"]])
+def test_band_solver_without_one_flapack_file_names_where_it_looked(tmp_path, monkeypatch, files):
+    (tmp_path / "linalg").mkdir()
+    for name in files:
+        (tmp_path / "linalg" / name).touch()
+    spec = SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(wl.action, "find_spec", lambda name: spec)
+    monkeypatch.setattr(wl.action, "_FLAPACK", [])
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    with pytest.raises(ImportError, match=f"found {len(files)} .* in {tmp_path / 'linalg'}"):
+        wl.action._flapack()
+    with pytest.raises(ImportError):  # a solve meets it too: nothing half-loaded was kept
+        wl.solve(wl.ProblemConfig(potential=wl.linear_potential(0.25), n_gamma=16))
+
+
+def test_first_solves_from_four_threads_load_the_band_solver_once():
+    got = _run("""
+        import json, sys, threading
+        import worldline as wl
+        from worldline import action
+
+        cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=48, order="sbp42")
+        start, states = threading.Barrier(4), []
+
+        def first_solve():
+            start.wait()
+            states.append(wl.solve(cfg).state.pack().tobytes())
+
+        sys.setswitchinterval(1e-6)  # switch threads often inside the loader
+        threads = [threading.Thread(target=first_solve) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        print(json.dumps({
+            "running": sum(thread.is_alive() for thread in threads),
+            "solves": len(states),
+            "states": len(set(states)),
+            "loaded": len(action._FLAPACK),
+            "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+        }))
+    """)
+    assert got == {"running": 0, "solves": 4, "states": 1, "loaded": 1, "scipy": []}

@@ -330,9 +330,8 @@ def test_generated_sums_serve_any_dimension_built_once(dim):
 
 
 def test_generated_sums_are_not_built_at_import(tmp_path):
-    # solves that never call the oracle must not pay for generating its code;
-    # no command imports scipy.integrate or scipy.optimize, and commands that
-    # never solve import no scipy at all
+    # solves that never call the oracle must not pay for generating its code,
+    # and no command imports a scipy package
     src = str(Path(reference.__file__).resolve().parents[1])
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text('{"potential": {"type": "quartic", "kappa": 0.5}, "n_gamma": 16}')
@@ -345,7 +344,10 @@ def test_generated_sums_are_not_built_at_import(tmp_path):
 
         good, bad, out = sys.argv[1:]
         def loaded(code=None):
-            names = ("scipy", "scipy.linalg", "scipy.integrate", "scipy.optimize")
+            names = (
+                "scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy.integrate",
+                "scipy.optimize",
+            )
             print(code, [m for m in names if m in sys.modules])
 
         loaded()
@@ -369,9 +371,9 @@ def test_generated_sums_are_not_built_at_import(tmp_path):
         "None []",
         "0 []",
         "1 []",
-        "0 ['scipy', 'scipy.linalg']",
+        "0 []",  # LAPACK's band solver is loaded from its file
         "0",
-        "0 ['scipy', 'scipy.linalg']",  # the oracle's tableau is written out
+        "0 []",  # and the oracle's tableau is written out
         "1",
     ]
 
@@ -589,6 +591,18 @@ def test_convergence_study_order_override(linear_cfg):
     table = wl.convergence_study(replace(linear_cfg, order="sbp42"), [16, 32, 64])
     fits = table.fit_exponents()
     assert fits["eps_l2_x"]["beta"] > 2.5
+
+
+@pytest.mark.parametrize("cfg_fixture", ["linear_cfg", "quartic_cfg"])
+def test_sbp21_local_orders_stay_two_up_to_n_8192(cfg_fixture, request):
+    # each of the seven doublings from n = 64 on, not one fit that could average a drift away
+    cfg = replace(request.getfixturevalue(cfg_fixture), order="sbp21")
+    n_list = [64 << k for k in range(8)]
+    table = wl.convergence_study(cfg, n_list, opts=wl.SolveOptions(max_iter=30))
+    log_dg = np.log(table.column("dgamma"))
+    for name in ("eps_l2_x", "eps_l2_t"):
+        orders = np.diff(np.log(table.column(name))) / np.diff(log_dg)
+        assert np.all((1.95 <= orders) & (orders <= 2.05)), (name, orders)
 
 
 def test_scaled_tdot_study_pairs(quartic_cfg):
