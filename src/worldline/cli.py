@@ -6,6 +6,11 @@ their shortest round-trip decimals, JSON keys are sorted, and no
 timestamps appear anywhere.  Every run writes a manifest listing the
 emitted files with their SHA-256 checksums.
 
+A run into an existing ``--out`` rewrites each output file in place and
+cuts it to its new length: on ext4 an ``O_TRUNC`` open costs several
+times the write.  Files the run does not write are left alone.  Nothing
+is fsynced; a torn file fails its manifest checksum.
+
 Exit codes: 0 success, 1 configuration or flag error, 2 solver
 non-convergence (the iteration cap or a stalled line search), a singular
 Newton system, a geodesic seed reaching g00 <= 0 or too many steps, or in
@@ -21,6 +26,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -138,8 +144,8 @@ def _solve_options(args) -> SolveOptions:
 # indented with sorted keys.
 def _table(header, columns) -> str:
     """CSV text with one row per index of the equal-length ``columns``."""
-    rows = zip(*(np.asarray(col).tolist() for col in columns))
-    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
+    cells = [map(repr, np.asarray(col).tolist()) for col in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
 
 
@@ -147,22 +153,33 @@ def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write_outputs(out: str, subcommand: str, config: str, files: dict) -> None:
-    """Write ``files`` (name -> text) into ``out``, then a manifest of them."""
-    directory = Path(out)
-    directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for name in sorted(files):
-        data = files[name].encode("utf-8")
-        (directory / name).write_bytes(data)
-        entries.append({"name": name, "sha256": hashlib.sha256(data).hexdigest()})
-    manifest = {
-        "subcommand": subcommand,
-        "config": config,
-        "out_dir": str(directory),
-        "files": entries + [{"name": "manifest.json", "sha256": None}],
-    }
-    (directory / "manifest.json").write_text(_json(manifest), encoding="utf-8")
+def _rewrite(path: Path, data: bytes) -> None:
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        f.truncate()
+
+
+def _write_outputs(args, subcommand: str, files: dict) -> int:
+    """Write ``files`` (name -> text) and their manifest; 3 on an I/O error."""
+    directory = Path(args.out)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        entries = []
+        for name in sorted(files):
+            data = files[name].encode("utf-8")
+            _rewrite(directory / name, data)
+            entries.append({"name": name, "sha256": hashlib.sha256(data).hexdigest()})
+        manifest = {
+            "subcommand": subcommand,
+            "config": args.config,
+            "out_dir": str(directory),
+            "files": entries + [{"name": "manifest.json", "sha256": None}],
+        }
+        _rewrite(directory / "manifest.json", _json(manifest).encode("utf-8"))
+    except OSError as exc:
+        print(f"worldline {subcommand}: I/O error: {exc}", file=sys.stderr)
+        return 3
+    return 0
 
 
 _TRAJECTORY_HEADER = ("gamma", "t1", "t2", "x1", "x2")
@@ -241,12 +258,7 @@ def cmd_solve(args) -> int:
         ),
         "summary.json": _json(summary),
     }
-    try:
-        _write_outputs(args.out, "solve", args.config, files)
-    except OSError as exc:
-        print(f"worldline solve: I/O error: {exc}", file=sys.stderr)
-        return 3
-    return exit_code
+    return _write_outputs(args, "solve", files) or exit_code
 
 
 def cmd_sweep(args) -> int:
@@ -286,12 +298,7 @@ def cmd_sweep(args) -> int:
         "convergence.csv": _table(_SWEEP_HEADER, columns),
         "fit.json": _json(fit_payload),
     }
-    try:
-        _write_outputs(args.out, "sweep", args.config, files)
-    except OSError as exc:
-        print(f"worldline sweep: I/O error: {exc}", file=sys.stderr)
-        return 3
-    return 0
+    return _write_outputs(args, "sweep", files)
 
 
 def cmd_dump_operator(args) -> int:

@@ -1,8 +1,10 @@
 import csv
+import hashlib
 import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -127,17 +129,36 @@ def test_report_csv_round_trip(linear_config, tmp_path):
     np.testing.assert_array_equal(parsed, expected)
 
 
-def test_table_matches_csv_writer_on_edge_values():
+def csv_writer_text(header, columns):
     # csv.writer over repr(float) is the reference; integer columns stay integers
-    floats = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.8e308, 0.1, -1 / 3]
-    ints = list(range(len(floats)))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "value"])
-    writer.writerows([str(i), repr(float(v))] for i, v in zip(ints, floats))
-    assert _table(("n", "value"), (np.array(ints), np.array(floats))) == buf.getvalue()
-    assert _table(("n", "value"), (ints, floats)) == buf.getvalue()
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow(
+            str(v) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in row
+        )
+    return buf.getvalue()
+
+
+def test_table_matches_csv_writer_on_edge_values():
+    floats = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.8e308, 0.1, -1 / 3]
+    ints = list(range(len(floats)))
+    expected = csv_writer_text(("n", "value"), (ints, floats))
+    assert _table(("n", "value"), (np.array(ints), np.array(floats))) == expected
+    assert _table(("n", "value"), (ints, floats)) == expected
     assert _table(("n", "value"), ([], [])) == "n,value\n"
+
+    # the sweep's shape: an int column, float columns and a float32 column
+    singles = [0.1, -1 / 3, 1e-30, 3.4e38, np.nan, -0.0, 1.5, 2.0**-149, np.inf]
+    header = ("n", "a", "b", "c")
+    columns = (
+        np.array(ints),
+        np.array(floats),
+        np.array(floats[::-1]),
+        np.array(singles, dtype=np.float32),
+    )
+    assert _table(header, columns) == csv_writer_text(header, columns)
 
 
 def test_solve_free_charges_constant(free_config, tmp_path):
@@ -410,6 +431,37 @@ def test_solve_io_error_exits_3(linear_config, tmp_path):
         ["solve", "--config", str(linear_config), "--out", str(blocker / "sub")]
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "command, longer, shorter",
+    [("solve", "64", "16"), ("sweep", "8,16,32,64", "8,16,32")],
+)
+def test_rerun_over_longer_files_matches_a_fresh_directory(
+    linear_config, tmp_path, command, longer, shorter
+):
+    # the first run leaves longer files in --out; the second must cut each one
+    # to its own length, so --out reads as if the second run had written it alone
+    out = tmp_path / "out"
+    config = json.loads(linear_config.read_text())
+
+    def run(grids):
+        config["n_gamma"] = int(grids.split(",")[-1])
+        linear_config.write_text(json.dumps(config))
+        argv = [command, "--config", str(linear_config), "--out", str(out)]
+        if command == "sweep":
+            argv += ["--n-list", grids]
+        assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    first = run(longer)
+    rerun = run(shorter)
+    assert all(len(first[n]) > len(rerun[n]) for n in rerun if n.endswith(".csv"))
+    shutil.rmtree(out)
+    assert rerun == run(shorter)
+    for entry in json.loads(rerun["manifest.json"])["files"]:
+        if entry["sha256"] is not None:
+            assert hashlib.sha256(rerun[entry["name"]]).hexdigest() == entry["sha256"]
 
 
 def test_sweep_refinement(linear_config, tmp_path):
