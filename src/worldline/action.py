@@ -350,20 +350,21 @@ def geodesic_rhs(y, cfg: ProblemConfig) -> tuple:
     return (td, -(g00p / metric_g00(x, cfg)) * xd * td, xd, -0.5 * g00p * td * td)
 
 
-@dataclass(frozen=True)
+@dataclass
 class BandedHessian:
     """R H P in LAPACK general-band storage, with its band LU solve.
 
     Entry (i, j) sits at ``ab[kl + ku + i - j, j]``; the first ``kl`` rows
     are the room ``dgbsv`` needs for the fill-in of partial pivoting, and
-    ``ab`` is column-major, so ``solve`` factors it in place.  Rows are
-    lam_1..lam_4, then (t1, x1) point by point; columns are (t1, x1) point
-    by point, then lam_5..lam_8.
+    ``ab`` is column-major, so ``solve`` factors it in place (``lu`` keeps
+    the factors for ``resolve``).  Rows are lam_1..lam_4, then (t1, x1)
+    point by point; columns are (t1, x1) point by point, then lam_5..lam_8.
     """
 
     ab: np.ndarray
     kl: int
     ku: int
+    lu: tuple = field(default=(), init=False, repr=False)
 
     def __array__(self, dtype=None, copy=None):
         """The dense (2n + 4) x (2n + 4) matrix."""
@@ -377,12 +378,18 @@ class BandedHessian:
         """dy with R H P dy = -r; the band LU overwrites ``ab``, or raises LinAlgError."""
         if not np.all(np.isfinite(self.ab)):
             raise np.linalg.LinAlgError("non-finite Hessian")
-        _, _, dy, info = _flapack().dgbsv(
+        lub, piv, dy, info = _flapack().dgbsv(
             self.kl, self.ku, self.ab, -r, overwrite_ab=True, overwrite_b=True
         )
         if info != 0 or not np.all(np.isfinite(dy)):
             raise np.linalg.LinAlgError("singular or non-finite Newton step")
+        self.lu = lub, piv
         return dy
+
+    def resolve(self, r: np.ndarray) -> np.ndarray:
+        """dy with R H P dy = -r from the band LU of the last ``solve`` (``dgbtrs``)."""
+        lub, piv = self.lu
+        return _flapack().dgbtrs(lub, self.kl, self.ku, -r, piv, overwrite_b=True)[0]
 
 
 _FLAPACK: list = []  # scipy's LAPACK wrapper module, once loaded

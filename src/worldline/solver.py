@@ -22,15 +22,17 @@ the solve with ``SingularSystem``.
 
 The solve stops on one of two tests.  The gradient test passes once
 ||grad||_2 <= grad_tol * (1 + ||y||_inf) (``termination == "converged"``).
-At large n the gradient's rounding floor can lie above that bound, so the
-solve also stops at the floor (``termination == "roundoff_floor"``): when
-the Newton step is tiny, ||dy||_inf <= sqrt(eps) * (1 + ||y||_inf), and
-the full step still fails the Armijo test, the full-step iterate is
-returned.  In the quadratic region such a step leaves an error of about
-eps, so a full step that cannot lower the merit means the gradient is
-rounding noise (Dennis & Schnabel, ch. 7).  Both count as converged.  A
-line search that finds no step length down to ``_MIN_STEP`` raises
-``NonConvergence`` (``termination == "stalled"``).
+A full step y_k -> y_k+1 that fails it is followed by one chord step
+-J(y_k)^-1 r(y_k+1) on the same band LU (Deuflhard 2004, sec. 2.1), kept
+if it passes the gradient or the Armijo test.  Where the gradient's rounding
+floor lies above the bound, a tiny step, at most sqrt(eps) * (1 +
+||y||_inf), that cannot lower the merit ends the solve at the floor
+(``termination == "roundoff_floor"``): a chord step that does not halve
+the gradient (the better point is returned), or a full Newton step that
+fails the Armijo test.  Such a step leaves an error of about eps, so the
+gradient is rounding noise (Dennis & Schnabel, ch. 7).  Both count as
+converged.  A line search that finds no step length down to
+``_MIN_STEP`` raises ``NonConvergence`` (``termination == "stalled"``).
 """
 
 from __future__ import annotations
@@ -101,10 +103,10 @@ class SolveOptions:
     ``grad_tol`` is a relative factor: the solve stops once
     ||grad||_2 <= grad_tol * (1 + ||state||_inf), which keeps refinement
     sweeps comparable as operator norms grow with the grid.  A solve whose
-    gradient floor lies above that bound stops at the floor instead: once a
-    Newton step is below sqrt(eps) * (1 + ||state||_inf) and its full
-    length fails the Armijo test, the full-step iterate is returned with
-    ``termination == "roundoff_floor"``.
+    gradient floor lies above that bound stops at the floor instead, with
+    ``termination == "roundoff_floor"``: once a chord step (on the last
+    Newton step's band LU) below sqrt(eps) * (1 + ||state||_inf) does not
+    halve the gradient, or a Newton step that small fails the Armijo test.
     """
 
     grad_tol: float = 1e-12
@@ -128,9 +130,9 @@ class Solution:
 
     ``termination`` says why the solve stopped: ``"converged"`` when the
     gradient test passed, ``"roundoff_floor"`` when the step test at the
-    rounding floor did.  In the latter case the last entry of
-    ``grad_history`` is the floor iterate's gradient norm, which need not
-    be below the one before it.  The last iterate carried by
+    rounding floor did.  An iteration's ``grad_history`` entry is that of
+    the point it ends at, its chord point when kept; at the floor the last
+    entry need not be below the one before it.  The last iterate carried by
     ``NonConvergence`` has ``"max_iter"`` or ``"stalled"``; since every
     accepted step lowers the merit, it is also the best one.
     """
@@ -266,7 +268,8 @@ def solve(
             break
 
         try:
-            step = action.hessian(y[:-4:2], y[1:-4:2]).solve(r)
+            hess = action.hessian(y[:-4:2], y[1:-4:2])
+            step = hess.solve(r)
         except np.linalg.LinAlgError as exc:
             raise SingularSystem(f"{exc} at iteration {iterations}") from None
         at_floor = float(np.max(np.abs(step))) <= _SQRT_EPS * y_scale
@@ -286,6 +289,20 @@ def solve(
             alpha *= _LS_SHRINK
             if alpha < _MIN_STEP:
                 raise NonConvergence(result(y, grad_norm, iterations, False, "stalled"))
+        if alpha == 1.0 and norm_trial > opts.grad_tol * (1.0 + float(np.max(np.abs(y_trial)))):
+            # a chord step on the same LU (Deuflhard 2004, sec. 2.1)
+            chord = hess.resolve(r_trial)
+            y_c = y_trial + chord
+            r_c, norm_c = residual(y_c)
+            scale = 1.0 + float(np.max(np.abs(y_c)))
+            passed = norm_c <= opts.grad_tol * scale
+            tiny = float(np.max(np.abs(chord))) <= _SQRT_EPS * scale
+            if not passed and tiny and norm_c >= 0.5 * norm_trial:
+                history.append(min(norm_c, norm_trial))
+                best = y_c if norm_c < norm_trial else y_trial
+                return result(best, history[-1], iterations + 1, True, "roundoff_floor")
+            if passed or norm_c ** 2 <= (1.0 - _LS_DECREASE) * norm_trial ** 2:
+                y_trial, r_trial, norm_trial = y_c, r_c, norm_c
         y, r, grad_norm = y_trial, r_trial, norm_trial
         history.append(grad_norm)
 
