@@ -8,8 +8,6 @@ at fixed initial data shrinks the single deviating endpoint monotonically.
 
 from dataclasses import replace
 
-import numpy as np
-
 import worldline as wl
 
 cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=32)
@@ -25,14 +23,12 @@ print(f"endpoint |Delta E[N]|  = {report.delta_e_end:.2e}")
 print()
 
 print("grid refinement at fixed tdot_i: the endpoint deviation falls monotonically")
-prev = None
 for n in (16, 32, 64):
     cfg_n = replace(cfg, n_gamma=n)
-    sol_n = wl.continuation_solve(cfg_n, None, prev)
+    sol_n = wl.solve(cfg_n)
     rep_n = wl.diagnose(sol_n.state, cfg_n)
     print(f"  n = {n:3d}: |Delta E[N]| = {rep_n.delta_e_end:.4e}   "
           f"interior {rep_n.max_interior_delta_e:.1e}")
-    prev = sol_n
 print()
 
 print("longer trajectories via larger tdot_i (cold solves from a geodesic seed):")

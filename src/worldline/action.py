@@ -457,8 +457,12 @@ class DiscreteAction:
         A term contributes coefficient * weight to its slot of the band.
         """
         n = self.n
-        jac1 = self.constraint_jacobian().reshape(8, 4, n)[:, ::2]
-        jac1 = jac1.transpose(0, 2, 1).reshape(8, 2 * n)  # (t1, x1) point by point
+        jac1 = np.zeros((8, n, 2))  # constraint, grid point, t1 or x1
+        jac1[0, 0, 0] = jac1[2, 0, 1] = jac1[4, -1, 0] = jac1[5, -1, 1] = 1.0
+        # rows 0 and n-1 of D, as D^T e_0 and D^T e_{n-1}: lam_2, lam_4 and lam_7, lam_8
+        ends = [self.op.apply_t(np.eye(1, n, k)[0]) for k in (0, n - 1)]
+        jac1[[1, 6], :, 0] = jac1[[3, 7], :, 1] = ends
+        jac1 = jac1.reshape(8, 2 * n)  # (t1, x1) point by point
         # columns of t1 and x1; their rows lie 4 further down, below lam_1..lam_4
         t, x = 2 * np.arange(n), 2 * np.arange(n) + 1
         const = 3 * n
@@ -567,19 +571,6 @@ class DiscreteAction:
         r2 = -self.residual(s.t2, s.x2, np.append(np.zeros(4), s.lam[4:]))
         coord = (r1[4::2], r2[4::2], r1[5::2], r2[5::2])
         return np.concatenate([*coord, self.constraints(s)])
-
-    def constraint_jacobian(self) -> np.ndarray:
-        """8 x 4n Jacobian of the constraints w.r.t. the coordinate blocks."""
-        n = self.n
-        # rows 0 and n-1 of D, as D^T e_0 and D^T e_{n-1}
-        d_first, d_last = (self.op.apply_t(np.eye(1, n, k)[0]) for k in (0, n - 1))
-        jac = np.zeros((8, 4, n))  # constraint, coordinate block, grid point
-        jac[0, 0, 0] = jac[2, 2, 0] = jac[4, 0, -1] = jac[5, 2, -1] = 1.0
-        jac[4, 1, -1] = jac[5, 3, -1] = -1.0
-        jac[1, 0] = jac[3, 2] = d_first
-        jac[6, 0] = jac[7, 2] = d_last
-        jac[6, 1] = jac[7, 3] = -d_last
-        return jac.reshape(8, 4 * n)
 
     def hessian(self, t, x) -> BandedHessian:
         """R H P at t1 = t, x1 = x; the multiplier entries are constants."""

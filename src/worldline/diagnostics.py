@@ -66,9 +66,12 @@ class _Trajectory:
 
     @classmethod
     def of(cls, t, x, cfg: ProblemConfig) -> "_Trajectory":
+        t, x = (np.asarray(u, dtype=float) for u in (t, x))
+        if not t.shape == x.shape == (cfg.n_gamma,):
+            raise ValueError(
+                f"trajectory has {t.shape} and {x.shape} points but the grid has {cfg.n_gamma}"
+            )
         op = cfg.build_operator()
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
         return cls(cfg, op, t, x, op.apply(t), op.apply(x), metric_g00(x, cfg))
 
     def charge(self) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .action import ProblemConfig, geodesic_rhs
 from .diagnostics import diagnose
-from .solver import SolveOptions, Solution, StepFailure, solve
+from .solver import SolveOptions, Solution, StepFailure, seed_steps, solve
 
 __all__ = [
     "StiffnessSuspected",
@@ -300,8 +300,8 @@ def solve_physical_eom(
     gamma_i).
     """
     _check_tol(tol)
-    if not t_final > cfg.t_i:
-        raise ValueError(f"t_final must exceed t_i = {cfg.t_i}, got {t_final}")
+    if not cfg.t_i < t_final < math.inf:
+        raise ValueError(f"t_final must be finite and exceed t_i = {cfg.t_i}, got {t_final}")
     pot, m, c = cfg.potential, cfg.m, cfg.c
 
     def eom(y):
@@ -394,7 +394,7 @@ def convergence_study(
 
     Each grid is an independent ``solve``.  The oracle runs at the tightest
     tolerance it accepts: the smallest tabulated errors reach ~1e-10, and
-    its own must stay far below them.
+    its own must stay far below them; a window too long to seed fails first.
     """
     cfgs = [replace(cfg, n_gamma=n) for n in n_list]  # a bad size fails here
     n_list = [c.n_gamma for c in cfgs]
@@ -403,6 +403,7 @@ def convergence_study(
     if sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
         raise ValueError("n_list must be strictly ascending")
 
+    seed_steps(cfg)
     oracle = solve_geodesic_ode(cfg, _STUDY_TOL)
     rows = [_row_from_solution(c, solve(c, opts), oracle, c.gamma_grid) for c in cfgs]
     return ConvergenceTable(rows=tuple(rows))

@@ -59,6 +59,7 @@ __all__ = [
     "InvalidConfig",
     "StepFailure",
     "initial_guess",
+    "seed_steps",
     "solve",
     "continuation_solve",
 ]
@@ -154,22 +155,26 @@ def initial_guess(cfg: ProblemConfig) -> StateVector:
     return StateVector(t1=t, t2=t.copy(), x1=x, x2=x.copy(), lam=np.zeros(8))
 
 
+def seed_steps(cfg: ProblemConfig) -> int:
+    """The geodesic seed's RK4 step count; StepFailure if it exceeds _SEED_MAX_SUBSTEPS."""
+    steps = max(8, math.ceil(4.0 * cfg.tdot_i * (cfg.gamma_f - cfg.gamma_i)))
+    if steps > _SEED_MAX_SUBSTEPS:
+        raise StepFailure(
+            f"window too long: the geodesic seed needs more than {_SEED_MAX_SUBSTEPS} RK4 sub-steps"
+        )
+    return steps
+
+
 def _geodesic_seed(cfg: ProblemConfig) -> StateVector:
     """Newton guess: a coarse RK4 geodesic, Hermite-interpolated onto the grid.
 
-    K = max(8, ceil(4 tdot_i (gamma_f - gamma_i))) steps on Python floats, a
-    quarter time unit at most, whatever n_gamma is.  K > _SEED_MAX_SUBSTEPS or
-    a step reaching g00 <= 0 raises StepFailure; an overflowing step gives the
+    K = max(8, ceil(4 tdot_i (gamma_f - gamma_i))) steps (``seed_steps``) on
+    Python floats, a quarter time unit at most, whatever n_gamma is.  A step
+    reaching g00 <= 0 raises StepFailure; an overflowing step gives the
     straight line, whose solve then reports the failure.
     """
-    span = cfg.gamma_f - cfg.gamma_i
-    steps = max(8, math.ceil(4.0 * cfg.tdot_i * span))
-    if steps > _SEED_MAX_SUBSTEPS:
-        raise StepFailure(
-            "window too long: the geodesic seed needs more than "
-            f"{_SEED_MAX_SUBSTEPS} RK4 sub-steps"
-        )
-    h = span / steps
+    steps = seed_steps(cfg)
+    h = (cfg.gamma_f - cfg.gamma_i) / steps
     nodes = [[float(v) for v in (cfg.t_i, cfg.tdot_i, cfg.x_i, cfg.xdot_i)]]
     for k in range(1, steps + 1):
         y = nodes[-1]

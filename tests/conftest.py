@@ -76,17 +76,34 @@ def physical_limit_indices(n):
     return np.r_[4 * n : 4 * n + 4, points], np.r_[points, 4 * n + 4 : 4 * n + 8]
 
 
+def multiplier_block(op):
+    """The 8 x 4n Jacobian of the constraints, in pack order, from the dense D.
+
+    Row k is the gradient of lam_k+1's residual over (t1, t2, x1, x2):
+    t1[0], (D t1)[0], x1[0], (D x1)[0], then t1[-1] - t2[-1],
+    x1[-1] - x2[-1], (D t1)[-1] - (D t2)[-1] and (D x1)[-1] - (D x2)[-1].
+    """
+    n, d = op.n, op.d
+    jac = np.zeros((8, 4, n))  # constraint, coordinate block, grid point
+    jac[0, 0, 0] = jac[2, 2, 0] = jac[4, 0, -1] = jac[5, 2, -1] = 1.0
+    jac[4, 1, -1] = jac[5, 3, -1] = -1.0
+    jac[1, 0] = jac[3, 2] = d[0]
+    jac[6, 0] = jac[7, 2] = d[-1]
+    jac[6, 1] = jac[7, 3] = -d[-1]
+    return jac.reshape(8, 4 * n)
+
+
 def doubled_hessian(action, s):
     """The doubled (4n + 8)^2 Hessian in pack order, from program output.
 
     Branch 1 and the multiplier entries R H P holds come from
     ``hessian(s.t1, s.x1)``; branch 2 is -(the coordinate block of
     ``hessian(s.t2, s.x2)``), since branch 2 enters the action with opposite
-    sign; the other multiplier blocks are ``constraint_jacobian()``.
+    sign; the other multiplier blocks are ``multiplier_block(action.op)``.
     """
     n = s.n
     rows, cols = physical_limit_indices(n)
-    jac = action.constraint_jacobian()
+    jac = multiplier_block(action.op)
     out = np.zeros((4 * n + 8, 4 * n + 8))
     out[4 * n :, : 4 * n] = jac
     out[: 4 * n, 4 * n :] = jac.T

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 import worldline as wl
-from conftest import doubled_hessian, fd_gradient, fd_hessian, scaled_max_err
+from conftest import (
+    doubled_hessian,
+    fd_gradient,
+    fd_hessian,
+    multiplier_block,
+    scaled_max_err,
+)
 
 
 def random_state(cfg, rng, scale=0.3):
@@ -344,6 +350,20 @@ def test_large_grid_stores_only_linear_size_arrays(order):
     held = [action, action.op, action.reg_t, action.reg_x]
     sizes = [a.size for obj in held for a in vars(obj).values() if isinstance(a, np.ndarray)]
     assert max(sizes) <= 41 * n
+
+
+@pytest.mark.parametrize("n", ["min", 16, 257])
+@pytest.mark.parametrize("order", ["sbp21", "sbp42"])
+def test_branch_one_constraint_rows_are_the_dense_multiplier_block(order, n):
+    # the constraint rows on (t1, x1) point by point, read from D's end rows;
+    # exact, so a moved row, sign or column fails
+    n = wl.sbp.MIN_POINTS[order] if n == "min" else n
+    cfg = wl.ProblemConfig(
+        potential=wl.quartic_potential(0.5), n_gamma=n, order=order, gamma_f=2.5
+    )
+    action = wl.DiscreteAction(cfg)
+    block = multiplier_block(action.op).reshape(8, 4, n)[:, ::2]
+    assert np.array_equal(action._jac1, block.transpose(0, 2, 1).reshape(8, 2 * n))
 
 
 # ---------------------------------------------------------------- pattern cache

@@ -342,6 +342,25 @@ def test_sweep_scale_tdot_long_window_exits_2_fast_without_files(quartic_config,
     assert not out.exists()
 
 
+def test_sweep_refinement_long_window_exits_2_fast_without_files(tmp_path):
+    # gamma_f = 30000 would take the geodesic seed 120000 RK4 sub-steps; the
+    # window must be refused before the reference integration, which has no
+    # bound on its time or memory
+    config = tmp_path / "long.json"
+    config.write_text(
+        '{"potential": {"type": "quartic", "kappa": 0.5}, "n_gamma": 16, "gamma_f": 30000}'
+    )
+    out = tmp_path / "o"
+    argv = ["sweep", "--config", str(config), "--out", str(out), "--n-list", "16,32,64"]
+    result = run_cli(*argv, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == (
+        b"worldline sweep: window too long: the geodesic seed needs more than "
+        b"100000 RK4 sub-steps\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_oracle_failure_exits_2_without_files(tmp_path, capsys):
     # a refinement sweep runs the reference integrator before any solve, and
     # its step size collapses in the huge metric

@@ -63,6 +63,28 @@ def test_geodesic_residuals_free_line(free_cfg):
     assert np.max(np.abs(dg_x)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [64, 16], ids=["longer", "shorter"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "noether_charge_t",
+        "charge_deviation",
+        "geodesic_residuals",
+        "free_case_charges",
+        "h_bvp_profile",
+        "diagnose",
+    ],
+)
+def test_diagnostics_refuse_a_trajectory_of_another_grid(free_cfg, entry, n):
+    # checked with the 32-point operator, a longer trajectory would give
+    # meaningless values past point 31, a shorter one an IndexError
+    s = straight_line_state(replace(free_cfg, n_gamma=n))
+    args = (s,) if entry == "diagnose" else (s.t1, s.x1)
+    want = rf"trajectory has \({n},\) and \({n},\) points but the grid has 32$"
+    with pytest.raises(ValueError, match=want):
+        getattr(wl, entry)(*args, free_cfg)
+
+
 @pytest.mark.parametrize(
     "fixture,cfg_fixture", [("linear_solution", "linear_cfg"), ("quartic_solution", "quartic_cfg")]
 )

@@ -12,7 +12,7 @@ import worldline as wl
 from worldline.action import metric_g00, metric_g00_prime, metric_g00_second
 from worldline.sbp import MIN_POINTS
 from worldline.solver import _lift
-from conftest import physical_limit_indices
+from conftest import multiplier_block, physical_limit_indices
 
 families = st.sampled_from(sorted(MIN_POINTS))
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -83,7 +83,7 @@ def dense_hessian(action, s):
         )
         hess[t_off : t_off + n, x_off : x_off + n] = h_tx
         hess[x_off : x_off + n, t_off : t_off + n] = h_tx.T
-    jac = action.constraint_jacobian()
+    jac = multiplier_block(action.op)
     hess[4 * n :, : 4 * n] = jac
     hess[: 4 * n, 4 * n :] = jac.T
     return hess
@@ -211,7 +211,7 @@ def test_residual_is_the_restricted_gradient_at_the_lift(grid, potential, seed):
     m = np.abs(action.reg_t.dbar[:n, :n])  # |M|, the same for t and x
     wt = m @ np.abs(s.t1) + np.abs(action.reg_t.shift0) * (np.arange(n) == 0)
     wx = m @ np.abs(s.x1) + np.abs(action.reg_x.shift0) * (np.arange(n) == 0)
-    jac = np.abs(action.constraint_jacobian().reshape(8, 4, n)[:, ::2])
+    jac = np.abs(multiplier_block(action.op).reshape(8, 4, n)[:, ::2])
     lam = np.abs(s.lam)
     scale = np.empty(2 * n + 4)
     scale[:4] = [

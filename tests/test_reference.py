@@ -430,6 +430,14 @@ def test_physical_eom_free_is_straight(free_cfg):
     np.testing.assert_allclose(traj.x(ts), 1.0 + 0.1 * ts, atol=1e-11)
 
 
+@pytest.mark.parametrize("t_final", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_physical_eom_refuses_a_window_not_ending_after_t_i(quartic_cfg, t_final):
+    # an infinite t_final would step through a bounded motion forever
+    want = "t_final must be finite and exceed t_i = 0.0"
+    with pytest.raises(ValueError, match=want):
+        wl.solve_physical_eom(quartic_cfg, 1e-12, t_final=t_final)
+
+
 def test_physical_eom_conserves_relativistic_energy(quartic_cfg):
     # gamma_v * c^2 + V/m is the first integral of the physical-time
     # equation of motion; an independent check of the integrator
