@@ -200,8 +200,8 @@ class ProblemConfig:
             raise InvalidConfig("mass and speed of light must be positive")
         if not self.tdot_i > 0:
             raise InvalidConfig("tdot_i must be positive: time flows forward")
-        if not self.gamma_f > self.gamma_i:
-            raise InvalidConfig("gamma_f must exceed gamma_i")
+        if not 0 < self.gamma_f - self.gamma_i < math.inf:
+            raise InvalidConfig("gamma_f must exceed gamma_i by a finite span")
         if self.n_gamma < MIN_POINTS[self.order]:
             raise InvalidConfig(
                 f"{self.order} needs n_gamma >= {MIN_POINTS[self.order]}, "

@@ -13,10 +13,11 @@ Agreement between the two after reparametrization validates the oracle
 itself.  Both run one DOP853 stepper on Python floats that takes scipy's
 steps (tableau, initial step, error norm, controller; Hairer, Norsett &
 Wanner, Solving ODEs I, sections II.5-II.6) with no step cap, so the
-tolerance alone sets the step count.  Its trial step is straight-line code
-generated from the tableau (float literals below), as a loop over it cost
-four times the right-hand sides.  Positions come from the 7th-order dense
-output (II.10).
+tolerance alone sets the step count.  The tableau is read on the first
+oracle call from scipy's own coefficient file, run by path, so no scipy
+package is imported.  The trial step is straight-line code generated from
+it, as a loop over it cost four times the right-hand sides.  Positions come
+from the 7th-order dense output (II.10).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from array import array
-from itertools import islice
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -52,55 +54,18 @@ _RTOL_FLOOR = 2.5e-14
 _STUDY_TOL = 1e-14  # the studies' oracle tolerance, the tightest _check_tol accepts
 
 
-# scipy's DOP853 tableau, each value as its repr (0 for a zero), array after
-# array: A below the diagonal, rows 1-11; B; E5; E3; the first 13, 14 and 15
-# entries of the rows of A_EXTRA; D, row by row
-_DOP853 = """
-0.05260015195876773 0.0197250569845379 0.0591751709536137 0.02958758547680685 0
-0.08876275643042054 0.2413651341592667 0 -0.8845494793282861 0.924834003261792
-0.037037037037037035 0 0 0.17082860872947386 0.12546768756682242 0.037109375 0 0
-0.17025221101954405 0.06021653898045596 -0.017578125 0.03709200011850479 0 0
-0.17038392571223998 0.10726203044637328 -0.015319437748624402 0.008273789163814023
-0.6241109587160757 0 0 -3.3608926294469414 -0.868219346841726 27.59209969944671
-20.154067550477894 -43.48988418106996 0.47766253643826434 0 0 -2.4881146199716677
--0.590290826836843 21.230051448181193 15.279233632882423 -33.28821096898486
--0.020331201708508627 -0.9371424300859873 0 0 5.186372428844064 1.0914373489967295
--8.149787010746927 -18.52006565999696 22.739487099350505 2.4936055526796523
--3.0467644718982196 2.273310147516538 0 0 -10.53449546673725 -2.0008720582248625
--17.9589318631188 27.94888452941996 -2.8589982771350235 -8.87285693353063
-12.360567175794303 0.6433927460157636
-0.054293734116568765 0 0 0 0 4.450312892752409 1.8915178993145003 -5.801203960010585
-0.3111643669578199 -0.1521609496625161 0.20136540080403034 0.04471061572777259
-0.01312004499419488 0 0 0 0 -1.2251564463762044 -0.4957589496572502 1.6643771824549864
--0.35032884874997366 0.3341791187130175 0.08192320648511571 -0.022355307863886294 0
--0.18980075407240762 0 0 0 0 4.450312892752409 1.8915178993145003 -5.801203960010585
--0.4226823213237919 -0.1521609496625161 0.20136540080403034 0.02265179219836082 0
-0.056167502283047954 0 0 0 0 0 0.25350021021662483 -0.2462390374708025
--0.12419142326381637 0.15329179827876568 0.00820105229563469 0.007567897660545699
--0.008298 0.03183464816350214 0 0 0 0 0.028300909672366776 0.053541988307438566
--0.05492374857139099 0 0 -0.00010834732869724932 0.0003825710908356584
--0.00034046500868740456 0.1413124436746325 -0.42889630158379194 0 0 0 0
--4.697621415361164 7.683421196062599 4.06898981839711 0.3567271874552811 0 0 0
--0.0013990241651590145 2.9475147891527724 -9.15095847217987
--8.428938276109013 0 0 0 0 0.5667149535193777 -3.0689499459498917 2.38466765651207
-2.117034582445028 -0.871391583777973 2.2404374302607883 0.6315787787694688
--0.08899033645133331 18.148505520854727 -9.194632392478356 -4.436036387594894
-10.427508642579134 0 0 0 0 242.28349177525817 165.20045171727028 -374.5467547226902
--22.113666853125306 7.733432668472264 -30.674084731089398 -9.332130526430229
-15.697238121770845 -31.139403219565178 -9.35292435884448 35.81684148639408
-19.985053242002433 0 0 0 0 -387.0373087493518 -189.17813819516758 527.8081592054236
--11.57390253995963 6.8812326946963 -1.0006050966910838 0.7777137798053443
--2.778205752353508 -60.19669523126412 84.32040550667716 11.99229113618279
--25.69393346270375 0 0 0 0 -154.18974869023643 -231.5293791760455 357.6391179106141
-93.40532418362432 -37.45832313645163 104.0996495089623 29.8402934266605
--43.53345659001114 96.32455395918828 -39.17726167561544 -149.72683625798564
-"""
-_values = map(float, _DOP853.split())
-_A = [list(islice(_values, s)) for s in range(1, 12)]
-_B, _E5, _E3 = (list(islice(_values, n)) for n in (12, 13, 13))
-_A_EXTRA = [np.fromiter(_values, float, s) for s in (13, 14, 15)]
-_D = np.fromiter(_values, float, 64).reshape(4, 16)
-del _values
+@functools.cache
+def _tableau():
+    """scipy's DOP853 coefficient module, run from its file: no scipy package is imported."""
+    scipy = find_spec("scipy")
+    where = Path(scipy.submodule_search_locations[0] if scipy else "scipy", "integrate")
+    path = where / "_ivp" / "dop853_coefficients.py"
+    if not path.is_file():
+        raise ImportError(f"no DOP853 coefficients at {path}")
+    spec = spec_from_file_location("dop853_coefficients", path)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)  # enters nothing in sys.modules
+    return module
 
 
 class StiffnessSuspected(StepFailure):
@@ -144,19 +109,20 @@ def _trial_step(dim):
     def each(form):  # form for every component i, each followed by a comma
         return "".join(form.format(i=i) + ", " for i in range(dim))
 
-    def terms(coeffs, i="{i}"):  # sum_j c_j k_j for component i
-        return " + ".join(f"{c!r} * k{j}_{i}" for j, c in enumerate(coeffs) if c)
+    def terms(coeffs, i="{i}"):  # sum_j c_j k_j for component i; tolist for float reprs
+        return " + ".join(f"{c!r} * k{j}_{i}" for j, c in enumerate(coeffs.tolist()) if c)
 
     lines = ["def step(rhs, y, f, h, rtol, atol):", each("y{i}") + "= y"]
     lines.append(each("k0_{i}") + "= f")
-    for s, a in enumerate(_A, start=1):
-        stage = each(f"y{{i}} + ({terms(a)}) * h")
+    tab = _tableau()
+    for s in range(1, 12):  # A below the diagonal
+        stage = each(f"y{{i}} + ({terms(tab.A[s, :s])}) * h")
         lines.append(f"{each(f'k{s}_{{i}}')}= rhs(({stage}))")
-    lines.append(f"y_new = {each('n{i}')}= {each(f'y{{i}} + h * ({terms(_B)})')}")
+    lines.append(f"y_new = {each('n{i}')}= {each(f'y{{i}} + h * ({terms(tab.B)})')}")
     lines += [f"{each('k12_{i}')}= rhs(y_new)", "e5 = e3 = 0.0"]
     for i in range(dim):  # scipy's error norm: E5, damped where E3 exceeds it
         lines.append(f"s = atol + max(abs(y{i}), abs(n{i})) * rtol")
-        lines.append(f"r5, r3 = ({terms(_E5, i)}) / s, ({terms(_E3, i)}) / s")
+        lines.append(f"r5, r3 = ({terms(tab.E5, i)}) / s, ({terms(tab.E3, i)}) / s")
         lines.append("e5, e3 = e5 + r5 * r5, e3 + r3 * r3")
     lines.append(f"error = e5 and abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {dim})")
     stages = "".join(each(f"k{s}_{{i}}") for s in range(13))
@@ -218,13 +184,14 @@ def _dense_output(rhs, ts, ys, stages):
     t_old, h = ts[:-1], np.diff(ts)
     y_old, delta = np.array(ys[:-1]), np.diff(ys, axis=0)  # (steps, dim)
     k = np.pad(np.reshape(stages, (len(h), 13, -1)), ((0, 0), (0, 3), (0, 0)))
-    for s, a in enumerate(_A_EXTRA, start=13):  # the 3 extra stages
-        k[:, s] = np.array(rhs((y_old + (a @ k[:, :s]) * h[:, None]).T)).T
+    tab = _tableau()
+    for s in range(13, 16):  # the 3 extra stages
+        k[:, s] = np.array(rhs((y_old + (tab.A[s, :s] @ k[:, :s]) * h[:, None]).T)).T
     coeffs = np.empty((len(h), 7, y_old.shape[1]))  # (steps, 7, dim)
     coeffs[:, 0] = delta
     coeffs[:, 1] = h[:, None] * k[:, 0] - delta
     coeffs[:, 2] = 2 * delta - h[:, None] * (k[:, 12] + k[:, 0])
-    coeffs[:, 3:] = h[:, None, None] * (_D @ k)
+    coeffs[:, 3:] = h[:, None, None] * (tab.D @ k)
 
     def evaluate(t):
         t = np.asarray(t)

@@ -157,12 +157,12 @@ def initial_guess(cfg: ProblemConfig) -> StateVector:
 
 def seed_steps(cfg: ProblemConfig) -> int:
     """The geodesic seed's RK4 step count; StepFailure if it exceeds _SEED_MAX_SUBSTEPS."""
-    steps = max(8, math.ceil(4.0 * cfg.tdot_i * (cfg.gamma_f - cfg.gamma_i)))
-    if steps > _SEED_MAX_SUBSTEPS:
+    span = 4.0 * cfg.tdot_i * (cfg.gamma_f - cfg.gamma_i)  # inf where it overflows
+    if span > _SEED_MAX_SUBSTEPS:
         raise StepFailure(
             f"window too long: the geodesic seed needs more than {_SEED_MAX_SUBSTEPS} RK4 sub-steps"
         )
-    return steps
+    return max(8, math.ceil(span))
 
 
 def _geodesic_seed(cfg: ProblemConfig) -> StateVector:
@@ -310,6 +310,7 @@ def solve(
                 y_trial, r_trial, norm_trial = y_c, r_c, norm_c
         y, r, grad_norm = y_trial, r_trial, norm_trial
         history.append(grad_norm)
+        del hess  # its band and LU factors go before the next assembly
 
     raise NonConvergence(result(y, grad_norm, iterations, False, "max_iter"))
 

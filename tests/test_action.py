@@ -80,6 +80,9 @@ def test_config_validation():
         wl.ProblemConfig(potential=pot, order="sbp99")
     with pytest.raises(wl.InvalidConfig):
         wl.ProblemConfig(potential=pot, gamma_i=1.0, gamma_f=0.0)
+    # both ends finite, but gamma_f - gamma_i and so dgamma overflow to inf
+    with pytest.raises(wl.InvalidConfig, match="finite span"):
+        wl.ProblemConfig(potential=pot, gamma_i=-1e308, gamma_f=1e308)
 
 
 def test_config_json_round_trip():

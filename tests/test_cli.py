@@ -435,6 +435,45 @@ def test_solve_failed_seed_exits_2_fast_without_files(tmp_path, capsys, tdot, me
     assert not out.exists()
 
 
+_OVERFLOWING_WINDOWS = {
+    # 4 tdot_i (gamma_f - gamma_i) overflows to inf: the seed's cap refuses it
+    "seed-count": (
+        '"tdot_i": 1e300, "xdot_i": 0.0, "gamma_f": 1e9',
+        2,
+        "window too long: the geodesic seed needs more than 100000 RK4 sub-steps",
+    ),
+    # gamma_f - gamma_i itself overflows: the configuration refuses it
+    "span": (
+        '"gamma_i": -1e308, "gamma_f": 1e308',
+        1,
+        "bad configuration: gamma_f must exceed gamma_i by a finite span",
+    ),
+}
+
+
+@pytest.mark.parametrize("window", sorted(_OVERFLOWING_WINDOWS))
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve"],
+        ["sweep", "--n-list", "16,32,64"],
+        ["sweep", "--n-list", "16,32,64", "--scale-tdot", "1e300,1e300,1e300"],
+    ],
+    ids=["solve", "sweep", "sweep-scale-tdot"],
+)
+def test_overflowing_window_exits_with_one_line_without_files(tmp_path, capsys, window, command):
+    fields, code, message = _OVERFLOWING_WINDOWS[window]
+    config = tmp_path / "window.json"
+    config.write_text(
+        f'{{"potential": {{"type": "quartic", "kappa": 0.5}}, "n_gamma": 16, {fields}}}'
+    )
+    out = tmp_path / "o"
+    name, *flags = command
+    assert main([name, "--config", str(config), "--out", str(out), *flags]) == code
+    assert capsys.readouterr().err == f"worldline {name}: {message}\n"
+    assert not out.exists()
+
+
 def test_solve_infinite_tolerance_exits_1(quartic_config, tmp_path, capsys):
     out = tmp_path / "o"
     argv = ["solve", "--config", str(quartic_config), "--out", str(out), "--tol", "inf"]

@@ -11,6 +11,7 @@ from functools import reduce
 from itertools import chain
 from operator import add, mul
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -286,17 +287,39 @@ def _exactly(got, want):
     )
 
 
-def test_tableau_literals_are_scipys_dop853():
-    # the oracle's constants are written out as reprs, which round-trip exactly
-    assert len(reference._DOP853.split()) == 210
-    assert len(reference._A) == 11 and not np.triu(DOP853.A).any()  # row 0 too
-    for s, row in enumerate(reference._A, start=1):
-        assert _exactly(row, DOP853.A[s, :s]), f"A row {s}"
+def test_oracle_tableau_is_scipys_dop853():
+    # every coefficient the oracle reads from scipy's coefficient file
+    tab = reference._tableau()
+    assert not np.triu(DOP853.A).any()  # row 0 too
+    for s in range(1, 12):
+        assert _exactly(tab.A[s, :s], DOP853.A[s, :s]), f"A row {s}"
     for name in ("B", "E5", "E3", "D"):
-        assert _exactly(getattr(reference, f"_{name}"), getattr(DOP853, name)), name
-    assert len(reference._A_EXTRA) == len(DOP853.A_EXTRA) == 3
-    for s, (row, full) in enumerate(zip(reference._A_EXTRA, DOP853.A_EXTRA), start=13):
-        assert _exactly(row, full[:s]) and not full[s:].any(), f"A_EXTRA row {s}"
+        assert _exactly(getattr(tab, name), getattr(DOP853, name)), name
+    assert len(DOP853.A_EXTRA) == 3
+    for s, full in enumerate(DOP853.A_EXTRA, start=13):
+        assert _exactly(tab.A[s, :s], full[:s]) and not full[s:].any(), f"A_EXTRA row {s}"
+
+
+@pytest.mark.parametrize("scipy_found", [False, True], ids=["no-scipy", "no-file"])
+def test_oracle_without_scipys_coefficient_file_names_where_it_looked(
+    tmp_path, monkeypatch, scipy_found
+):
+    (tmp_path / "integrate" / "_ivp").mkdir(parents=True)  # with no coefficient file
+    spec = SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(reference, "find_spec", lambda name: spec if scipy_found else None)
+    monkeypatch.chdir(tmp_path)
+    where = tmp_path if scipy_found else Path("scipy")
+    reference._tableau.cache_clear()
+    try:
+        path = where / "integrate" / "_ivp" / "dop853_coefficients.py"
+        with pytest.raises(ImportError) as refused:
+            reference._tableau()
+        assert str(refused.value) == f"no DOP853 coefficients at {path}"
+        cfg = wl.ProblemConfig(potential=wl.linear_potential(0.25), n_gamma=16)
+        with pytest.raises(ImportError):  # an oracle meets it too: nothing was kept
+            reference.solve_geodesic_ode(cfg)
+    finally:
+        reference._tableau.cache_clear()
 
 
 # y' = rhs(y) from y0, with its exact solution: a decay, and a rotation and a decay
@@ -344,11 +367,8 @@ def test_generated_sums_are_not_built_at_import(tmp_path):
 
         good, bad, out = sys.argv[1:]
         def loaded(code=None):
-            names = (
-                "scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy.integrate",
-                "scipy.optimize",
-            )
-            print(code, [m for m in names if m in sys.modules])
+            scipy = [m for m in sys.modules if m.startswith("scipy")]
+            print(code, scipy, reference._tableau.cache_info().currsize)
 
         loaded()
         with contextlib.redirect_stdout(io.StringIO()):
@@ -368,12 +388,12 @@ def test_generated_sums_are_not_built_at_import(tmp_path):
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout.splitlines() == [
-        "None []",
-        "0 []",
-        "1 []",
-        "0 []",  # LAPACK's band solver is loaded from its file
+        "None [] 0",
+        "0 [] 0",
+        "1 [] 0",
+        "0 [] 0",  # LAPACK's band solver is loaded from its file
         "0",
-        "0 []",  # and the oracle's tableau is written out
+        "0 [] 1",  # and the oracle's tableau is run from its file
         "1",
     ]
 

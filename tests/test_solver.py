@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import worldline as wl
 from worldline.action import BandedHessian
 from worldline.diagnostics import interior_slice
-from worldline.solver import _SQRT_EPS, _lift
+from worldline.solver import _SQRT_EPS, _lift, seed_steps
 from conftest import STALLING_CONFIG, physical_limit_indices
 
 FAMILIES = pytest.mark.parametrize("order", ["sbp21", "sbp42"])
@@ -321,6 +322,37 @@ def test_default_solve_starts_from_the_geodesic_seed(order, potential):
     sol = wl.solve(cfg)
     assert sol.converged
     assert sol.iterations <= 2
+
+
+def test_window_overflowing_the_seed_count_is_refused_at_the_cap():
+    # 4 tdot_i (gamma_f - gamma_i) is inf: the count must not reach math.ceil
+    cfg = wl.ProblemConfig(
+        potential=wl.quartic_potential(0.5), tdot_i=1e300, xdot_i=0.0, gamma_f=1e9, n_gamma=16
+    )
+    studies = (
+        lambda: wl.convergence_study(cfg, [16, 32, 64]),
+        lambda: wl.scaled_tdot_study(cfg, [16, 32, 64], [1e300] * 3),
+    )
+    for call in (lambda: seed_steps(cfg), lambda: wl.solve(cfg), *studies):
+        with pytest.raises(wl.StepFailure, match="window too long: .* 100000 RK4 sub-steps"):
+            call()
+
+
+def test_each_band_is_freed_before_the_next_assembly(monkeypatch):
+    # the last iteration's band and LU factors must not stay alive while the
+    # next Hessian is assembled; the straight-line guess takes 3 iterations
+    bands, alive = [], []
+    hessian = wl.DiscreteAction.hessian
+
+    def tracked(self, *args):
+        alive.append(sum(ref() is not None for ref in bands))
+        bands.append(weakref.ref(hess := hessian(self, *args)))
+        return hess
+
+    monkeypatch.setattr(wl.DiscreteAction, "hessian", tracked)
+    cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=64)
+    assert wl.solve(cfg, guess=wl.initial_guess(cfg)).iterations == len(bands) == 3
+    assert alive == [0, 0, 0]
 
 
 @pytest.mark.parametrize("n, max_iter", [(1024, 10), (2048, 10), (4096, 12)])
