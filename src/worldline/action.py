@@ -12,7 +12,7 @@ enters the action with opposite sign.  Eight Lagrange multipliers enforce
 the four initial conditions on branch 1 and the four conditions connecting
 the two branches at the final grid point.
 
-The discrete action evaluated here is
+The discrete action is
 
     E = 1/2 (Dr t1)^T diag[g00(x1)] H (Dr t1) - 1/2 (Dr x1)^T H (Dr x1)
       - (same with branch 2)
@@ -25,14 +25,14 @@ entries, so no n x n matrix is formed.
 
 The answer lies on the physical limit t2 = t1, x2 = x1, lam_1..lam_4 = 0,
 where branch 2's gradient rows are -(branch 1's) and the lam_5..lam_8 rows
-vanish.  There ``residual``, the branch-1 kernel that ``gradient`` calls
-once per branch, is R grad E: rows lam_1..lam_4, then (t1, x1) point by
-point.  The only Hessian built is R H P, with those rows and the columns
-(t1, x1) point by point, then lam_5..lam_8.  It has no branch-2 column, so
-``hessian(t, x)`` assembles it from branch 1 alone into LAPACK band storage
-(kl/ku = 8/2 for sbp21, 14/6 for sbp42), which ``BandedHessian.solve``
-factors in place with ``dgbsv``, in O(n).  Which band slot each term fills
-depends on the grid alone: one pattern per grid is cached, within a byte budget.
+vanish.  So only branch 1 is evaluated.  ``gradient(t, x, lam)`` is
+R grad E: rows lam_1..lam_4, then (t1, x1) point by point.  The only
+Hessian built is R H P, with those rows and the columns (t1, x1) point by
+point, then lam_5..lam_8.  It has no branch-2 column, so ``hessian(t, x)``
+assembles it from branch 1 alone into LAPACK band storage (kl/ku = 8/2 for
+sbp21, 14/6 for sbp42), which ``BandedHessian.solve`` factors in place
+with ``dgbsv``, in O(n).  Which band slot each term fills depends on the
+grid alone: one pattern per grid is cached, within a byte budget.
 """
 
 from __future__ import annotations
@@ -282,8 +282,7 @@ class ProblemConfig:
 class StateVector:
     """Unknowns of the discrete variational problem.
 
-    Four coordinate vectors of length n plus eight multipliers; packs to a
-    flat vector of length 4n + 8 in the order (t1, t2, x1, x2, lam).
+    Four coordinate vectors of length n plus eight multipliers.
     """
 
     t1: np.ndarray
@@ -306,22 +305,6 @@ class StateVector:
     @property
     def n(self) -> int:
         return self.t1.shape[0]
-
-    def pack(self) -> np.ndarray:
-        return np.concatenate([self.t1, self.t2, self.x1, self.x2, self.lam])
-
-    @classmethod
-    def unpack(cls, z: np.ndarray, n: int) -> "StateVector":
-        z = np.asarray(z, dtype=float)
-        if z.shape != (4 * n + 8,):
-            raise ValueError(f"expected a packed vector of length {4 * n + 8}")
-        return cls(
-            t1=z[:n],
-            t2=z[n : 2 * n],
-            x1=z[2 * n : 3 * n],
-            x2=z[3 * n : 4 * n],
-            lam=z[4 * n :],
-        )
 
 
 # The metric and its x-derivatives, elementwise on a float or a float array x.
@@ -365,14 +348,6 @@ class BandedHessian:
     kl: int
     ku: int
     lu: tuple = field(default=(), init=False, repr=False)
-
-    def __array__(self, dtype=None, copy=None):
-        """The dense (2n + 4) x (2n + 4) matrix."""
-        r, j = np.nonzero(self.ab[self.kl :])
-        size = self.ab.shape[1]
-        dense = np.zeros((size, size))
-        dense[j + r - self.ku, j] = self.ab[self.kl + r, j]
-        return dense if dtype is None else dense.astype(dtype, copy=False)
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """dy with R H P dy = -r; the band LU overwrites ``ab``, or raises LinAlgError."""
@@ -429,7 +404,7 @@ def _cached_pattern(key: tuple, build: Callable[[], tuple]) -> tuple:
 
 
 class DiscreteAction:
-    """Evaluator for the discrete action, its gradient, and R H P.
+    """Evaluator for R grad E and R H P on the physical limit.
 
     The configuration's classical operator ``op`` and its regularized copies
     ``reg_t`` and ``reg_x`` (the same matrix M, each with its own shift) are
@@ -509,68 +484,31 @@ class DiscreteAction:
                     f"state has {len(u)} grid points but the action expects {self.n}"
                 )
 
-    def _initial_residuals(self, t, x) -> list:
-        """The residuals of lam_1..lam_4 for the coordinates t, x."""
-        cfg, d_first = self.cfg, self._jac1[1, ::2]  # row 0 of D
-        return [
-            t[0] - cfg.t_i,
-            d_first @ t - cfg.tdot_i,
-            x[0] - cfg.x_i,
-            d_first @ x - cfg.xdot_i,
-        ]
-
-    def constraints(self, s: StateVector) -> np.ndarray:
-        """The eight multiplier residuals, in order lam_1..lam_8."""
-        self._check(s.t1)
-        # row n-1 of D; each residual takes its own dot products, so
-        # (D t1)[-1] - (D t2)[-1] rounds as a difference of two end values
-        d_last = self._jac1[6, ::2]
-        return np.array(
-            [
-                *self._initial_residuals(s.t1, s.x1),
-                s.t1[-1] - s.t2[-1],
-                s.x1[-1] - s.x2[-1],
-                d_last @ s.t1 - d_last @ s.t2,
-                d_last @ s.x1 - d_last @ s.x2,
-            ]
-        )
-
-    def value(self, s: StateVector) -> float:
-        self._check(s.t1)
-        total = 0.0
-        for sign, t, x in ((1.0, s.t1, s.x1), (-1.0, s.t2, s.x2)):
-            wt = self.reg_t.apply(t)
-            wx = self.reg_x.apply(x)
-            g00 = metric_g00(x, self.cfg)
-            total += 0.5 * sign * (
-                np.dot(g00 * self.h, wt * wt) - np.dot(self.h, wx * wx)
-            )
-        return float(total + np.dot(s.lam, self.constraints(s)))
-
-    def residual(self, t, x, lam) -> np.ndarray:
+    def gradient(self, t, x, lam) -> np.ndarray:
         """Branch 1's rows of grad E at t1 = t, x1 = x: lam_1..lam_4, then (t1, x1).
 
         At a lift (t2 = t1, x2 = x1, lam_1..lam_4 = 0) this is R grad E, and
         ||grad E||^2 = ||r[:4]||^2 + 2 ||r[4:]||^2.
         """
+        self._check(t, x)
+        if np.shape(lam) != (8,):
+            raise ValueError("exactly eight Lagrange multipliers are required")
+        cfg, d_first = self.cfg, self._jac1[1, ::2]  # row 0 of D
         wt = self.reg_t.apply(t)
         wx = self.reg_x.apply(x)
-        g00 = metric_g00(x, self.cfg)
-        gp = metric_g00_prime(x, self.cfg)
+        g00 = metric_g00(x, cfg)
+        gp = metric_g00_prime(x, cfg)
         r = np.empty(2 * self.n + 4)
-        r[:4] = self._initial_residuals(t, x)
+        r[:4] = [
+            t[0] - cfg.t_i,
+            d_first @ t - cfg.tdot_i,
+            x[0] - cfg.x_i,
+            d_first @ x - cfg.xdot_i,
+        ]
         r[4:] = lam @ self._jac1
         r[4::2] += self.reg_t.apply_t(g00 * self.h * wt)
         r[5::2] += 0.5 * gp * self.h * wt * wt - self.reg_x.apply_t(self.h * wx)
         return r
-
-    def gradient(self, s: StateVector) -> np.ndarray:
-        """grad E in pack order; branch 2 meets lam_5..lam_8 only, with sign -1."""
-        self._check(s.t1)
-        r1 = self.residual(s.t1, s.x1, s.lam)
-        r2 = -self.residual(s.t2, s.x2, np.append(np.zeros(4), s.lam[4:]))
-        coord = (r1[4::2], r2[4::2], r1[5::2], r2[5::2])
-        return np.concatenate([*coord, self.constraints(s)])
 
     def hessian(self, t, x) -> BandedHessian:
         """R H P at t1 = t, x1 = x; the multiplier entries are constants."""

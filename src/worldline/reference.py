@@ -236,8 +236,12 @@ def _floats_first(f, *args):
 
 
 def solve_geodesic_ode(cfg: ProblemConfig, tol: float = 1e-12) -> ReferenceTrajectory:
-    """Integrate the geodesic system over [gamma_i, gamma_f]."""
+    """Integrate the geodesic system over [gamma_i, gamma_f].
+
+    A window too long to seed (``seed_steps``) raises StepFailure at once.
+    """
     _check_tol(tol)
+    seed_steps(cfg)
     span, y0 = (cfg.gamma_i, cfg.gamma_f), (cfg.t_i, cfg.tdot_i, cfg.x_i, cfg.xdot_i)
     rhs = _floats_first(geodesic_rhs, cfg)
     gamma, (t, td, x, xd), dense, _ = _dop853(rhs, span, y0, tol)
@@ -370,7 +374,6 @@ def convergence_study(
     if sorted(n_list) != n_list or len(set(n_list)) != len(n_list):
         raise ValueError("n_list must be strictly ascending")
 
-    seed_steps(cfg)
     oracle = solve_geodesic_ode(cfg, _STUDY_TOL)
     rows = [_row_from_solution(c, solve(c, opts), oracle, c.gamma_grid) for c in cfgs]
     return ConvergenceTable(rows=tuple(rows))

@@ -12,7 +12,7 @@ horizon g00 <= 0 ends the solve with ``StepFailure``.
 Newton iterates on y = ((t1, x1) point by point, lam_5..lam_8), the 2n + 4
 unknowns of the physical limit t2 = t1, x2 = x1, lam_1..lam_4 = 0.  There
 branch 2's rows of grad E are -(branch 1's) and the lam_5..lam_8 rows vanish,
-so one branch-1 kernel, ``DiscreteAction.residual``, gives r = R grad E at
+so one branch-1 kernel, ``DiscreteAction.gradient``, gives r = R grad E at
 each trial point, and ||grad E||^2 = ||r_lam||^2 + 2 ||r_coord||^2.  Each
 step solves R H P dy = -r: ``DiscreteAction.hessian`` assembles the one
 Hessian from y's (t1, x1), and its ``solve`` runs the band LU in O(n).  y is
@@ -244,12 +244,12 @@ def solve(
     y = np.empty(2 * n + 4)
     y[:-4:2], y[1:-4:2], y[-4:] = s.t1, s.x1, s.lam[4:]
 
-    def residual(y):
+    def gradient(y):
         """R grad E at the lift of y, and the doubled system's ||grad E||."""
-        r = action.residual(y[:-4:2], y[1:-4:2], np.append(np.zeros(4), y[-4:]))
+        r = action.gradient(y[:-4:2], y[1:-4:2], np.append(np.zeros(4), y[-4:]))
         return r, math.sqrt(r[:4] @ r[:4] + 2.0 * (r[4:] @ r[4:]))
 
-    r, grad_norm = residual(y)
+    r, grad_norm = gradient(y)
     if not np.isfinite(grad_norm):
         raise SingularSystem(f"gradient norm {grad_norm} at the initial guess")
     history = [grad_norm]
@@ -284,7 +284,7 @@ def solve(
         alpha = 1.0
         while True:
             y_trial = y + alpha * step
-            r_trial, norm_trial = residual(y_trial)
+            r_trial, norm_trial = gradient(y_trial)
             if norm_trial ** 2 <= (1.0 - _LS_DECREASE * alpha) * merit:
                 break
             if at_floor and np.isfinite(norm_trial):
@@ -298,7 +298,7 @@ def solve(
             # a chord step on the same LU (Deuflhard 2004, sec. 2.1)
             chord = hess.resolve(r_trial)
             y_c = y_trial + chord
-            r_c, norm_c = residual(y_c)
+            r_c, norm_c = gradient(y_c)
             scale = 1.0 + float(np.max(np.abs(y_c)))
             passed = norm_c <= opts.grad_tol * scale
             tiny = float(np.max(np.abs(chord))) <= _SQRT_EPS * scale

@@ -32,6 +32,74 @@ STALLING_CONFIG = {
 }
 
 
+# The doubled action, the test-side reference: the program evaluates only
+# branch 1 (``DiscreteAction.gradient`` and ``hessian``) on the physical limit.
+# A state packs to the flat vector (t1, t2, x1, x2, lam) of length 4n + 8.
+
+
+def pack(s):
+    """The flat vector of the state ``s``, in pack order."""
+    return np.concatenate([s.t1, s.t2, s.x1, s.x2, s.lam])
+
+
+def unpack(z, n):
+    """The state of the flat vector ``z`` on an n-point grid."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != (4 * n + 8,):
+        raise ValueError(f"expected a packed vector of length {4 * n + 8}")
+    return wl.StateVector(
+        t1=z[:n], t2=z[n : 2 * n], x1=z[2 * n : 3 * n], x2=z[3 * n : 4 * n], lam=z[4 * n :]
+    )
+
+
+def constraints(action, s):
+    """The eight multiplier residuals, in order lam_1..lam_8."""
+    cfg = action.cfg
+    # rows 0 and n-1 of D; each residual takes its own dot products, so
+    # (D t1)[-1] - (D t2)[-1] rounds as a difference of two end values
+    d_first, d_last = action._jac1[1, ::2], action._jac1[6, ::2]
+    return np.array(
+        [
+            s.t1[0] - cfg.t_i,
+            d_first @ s.t1 - cfg.tdot_i,
+            s.x1[0] - cfg.x_i,
+            d_first @ s.x1 - cfg.xdot_i,
+            s.t1[-1] - s.t2[-1],
+            s.x1[-1] - s.x2[-1],
+            d_last @ s.t1 - d_last @ s.t2,
+            d_last @ s.x1 - d_last @ s.x2,
+        ]
+    )
+
+
+def doubled_value(action, s):
+    """The doubled action E at the state ``s``."""
+    total = 0.0
+    for sign, t, x in ((1.0, s.t1, s.x1), (-1.0, s.t2, s.x2)):
+        wt = action.reg_t.apply(t)
+        wx = action.reg_x.apply(x)
+        g00 = wl.metric_g00(x, action.cfg)
+        total += 0.5 * sign * (np.dot(g00 * action.h, wt * wt) - np.dot(action.h, wx * wx))
+    return float(total + np.dot(s.lam, constraints(action, s)))
+
+
+def doubled_gradient(action, s):
+    """grad E in pack order; branch 2 meets lam_5..lam_8 only, with sign -1."""
+    r1 = action.gradient(s.t1, s.x1, s.lam)
+    r2 = -action.gradient(s.t2, s.x2, np.append(np.zeros(4), s.lam[4:]))
+    coord = (r1[4::2], r2[4::2], r1[5::2], r2[5::2])
+    return np.concatenate([*coord, constraints(action, s)])
+
+
+def dense(band):
+    """The dense (2n + 4) x (2n + 4) matrix of a ``BandedHessian``."""
+    r, j = np.nonzero(band.ab[band.kl :])
+    size = band.ab.shape[1]
+    out = np.zeros((size, size))
+    out[j + r - band.ku, j] = band.ab[band.kl + r, j]
+    return out
+
+
 def fd_gradient(action, z, n):
     """Central-difference gradient of the action value."""
     z = np.asarray(z, dtype=float)
@@ -43,8 +111,7 @@ def fd_gradient(action, z, n):
         zm = z.copy()
         zm[k] -= h
         out[k] = (
-            action.value(wl.StateVector.unpack(zp, n))
-            - action.value(wl.StateVector.unpack(zm, n))
+            doubled_value(action, unpack(zp, n)) - doubled_value(action, unpack(zm, n))
         ) / (2.0 * h)
     return out
 
@@ -60,8 +127,7 @@ def fd_hessian(action, z, n):
         zm = z.copy()
         zm[k] -= h
         out[:, k] = (
-            action.gradient(wl.StateVector.unpack(zp, n))
-            - action.gradient(wl.StateVector.unpack(zm, n))
+            doubled_gradient(action, unpack(zp, n)) - doubled_gradient(action, unpack(zm, n))
         ) / (2.0 * h)
     return out
 
@@ -107,9 +173,9 @@ def doubled_hessian(action, s):
     out = np.zeros((4 * n + 8, 4 * n + 8))
     out[4 * n :, : 4 * n] = jac
     out[: 4 * n, 4 * n :] = jac.T
-    out[np.ix_(rows, cols)] = np.asarray(action.hessian(s.t1, s.x1))
+    out[np.ix_(rows, cols)] = dense(action.hessian(s.t1, s.x1))
     branch2 = cols[:-4] + n  # (t2, x2) point by point
-    out[np.ix_(branch2, branch2)] = -np.asarray(action.hessian(s.t2, s.x2))[4:, :-4]
+    out[np.ix_(branch2, branch2)] = -dense(action.hessian(s.t2, s.x2))[4:, :-4]
     return out
 
 

@@ -13,7 +13,15 @@ from scipy.linalg import svdvals
 
 import worldline as wl
 from worldline.diagnostics import interior_slice
-from conftest import doubled_hessian, fd_gradient, fd_hessian, scaled_max_err
+from conftest import (
+    doubled_gradient,
+    doubled_hessian,
+    fd_gradient,
+    fd_hessian,
+    pack,
+    scaled_max_err,
+    unpack,
+)
 
 
 def check(criterion, ok, detail):
@@ -109,10 +117,10 @@ def test_criterion_2_derivative_correctness():
         cfg = wl.ProblemConfig(potential=pot, n_gamma=8)
         action = wl.DiscreteAction(cfg)
         for _ in range(20):
-            z = wl.initial_guess(cfg).pack() + 0.4 * rng.standard_normal(40)
-            s = wl.StateVector.unpack(z, 8)
+            z = pack(wl.initial_guess(cfg)) + 0.4 * rng.standard_normal(40)
+            s = unpack(z, 8)
             worst_grad = max(
-                worst_grad, scaled_max_err(action.gradient(s), fd_gradient(action, z, 8))
+                worst_grad, scaled_max_err(doubled_gradient(action, s), fd_gradient(action, z, 8))
             )
             hess_err = scaled_max_err(doubled_hessian(action, s), fd_hessian(action, z, 8))
             worst_hess = max(worst_hess, hess_err)
@@ -150,8 +158,8 @@ def test_criterion_4_physical_limit(base_solutions, free_solution, free_cfg):
         s = sol.state
         gap = max(gap, float(np.max(np.abs(s.t1 - s.t2))), float(np.max(np.abs(s.x1 - s.x2))))
         lam_14 = max(lam_14, float(np.max(np.abs(s.lam[:4]))))
-        bound = wl.SolveOptions().grad_tol * (1.0 + np.max(np.abs(s.pack())))
-        grad = np.linalg.norm(wl.DiscreteAction(cfg).gradient(s))
+        bound = wl.SolveOptions().grad_tol * (1.0 + np.max(np.abs(pack(s))))
+        grad = np.linalg.norm(doubled_gradient(wl.DiscreteAction(cfg), s))
         grad_ratio = max(grad_ratio, float(grad / bound))
     ok = gap == 0.0 and lam_14 == 0.0 and grad_ratio <= 1.0
     check(

@@ -12,18 +12,24 @@ import pytest
 
 import worldline as wl
 from conftest import (
+    constraints,
+    dense,
+    doubled_gradient,
     doubled_hessian,
+    doubled_value,
     fd_gradient,
     fd_hessian,
     multiplier_block,
+    pack,
     scaled_max_err,
+    unpack,
 )
 
 
 def random_state(cfg, rng, scale=0.3):
-    z = wl.initial_guess(cfg).pack()
+    z = pack(wl.initial_guess(cfg))
     z += scale * rng.standard_normal(z.size)
-    return wl.StateVector.unpack(z, cfg.n_gamma)
+    return unpack(z, cfg.n_gamma)
 
 
 # ---------------------------------------------------------------- potentials
@@ -136,15 +142,6 @@ def test_config_is_not_hashable(pot):
 # ---------------------------------------------------------------- state
 
 
-def test_state_pack_round_trip():
-    rng = np.random.default_rng(0)
-    n = 13
-    z = rng.standard_normal(4 * n + 8)
-    s = wl.StateVector.unpack(z, n)
-    assert s.pack().shape == (4 * n + 8,)
-    np.testing.assert_array_equal(s.pack(), z)
-
-
 def test_state_validation():
     with pytest.raises(ValueError):
         wl.StateVector(
@@ -165,7 +162,7 @@ def test_value_zero_when_branches_coincide():
     t = rng.standard_normal(10)
     x = rng.standard_normal(10)
     s = wl.StateVector(t1=t, t2=t.copy(), x1=x, x2=x.copy(), lam=np.zeros(8))
-    assert wl.DiscreteAction(cfg).value(s) == 0.0
+    assert doubled_value(wl.DiscreteAction(cfg), s) == 0.0
 
 
 def test_value_zero_on_free_exact_line():
@@ -174,14 +171,21 @@ def test_value_zero_on_free_exact_line():
     s = wl.StateVector(
         t1=s.t1, t2=s.t2, x1=s.x1, x2=s.x2, lam=np.arange(8.0)
     )  # multipliers see exactly satisfied constraints
-    assert abs(wl.DiscreteAction(cfg).value(s)) <= 1e-12
+    assert abs(doubled_value(wl.DiscreteAction(cfg), s)) <= 1e-12
 
 
-def test_value_dimension_mismatch():
+def test_gradient_and_hessian_refuse_a_wrong_length():
     cfg = wl.ProblemConfig(potential=wl.free_potential(), n_gamma=16)
-    s = wl.initial_guess(replace(cfg, n_gamma=12))
-    with pytest.raises(ValueError):
-        wl.DiscreteAction(cfg).value(s)
+    action = wl.DiscreteAction(cfg)
+    s = wl.initial_guess(cfg)
+    for t, x, n in ((s.t1[:15], s.x1, 15), (s.t1, np.append(s.x1, 1.0), 17)):
+        with pytest.raises(ValueError, match=f"has {n} grid points but the action expects 16"):
+            action.gradient(t, x, s.lam)
+        with pytest.raises(ValueError, match=f"has {n} grid points but the action expects 16"):
+            action.hessian(t, x)
+    for lam in (np.zeros(4), np.zeros(9)):
+        with pytest.raises(ValueError, match="exactly eight Lagrange multipliers"):
+            action.gradient(s.t1, s.x1, lam)
 
 
 # ---------------------------------------------------------------- derivatives
@@ -203,7 +207,7 @@ def test_gradient_matches_finite_differences(pot, order, n):
     action = wl.DiscreteAction(cfg)
     for _ in range(3):
         s = random_state(cfg, rng)
-        err = scaled_max_err(action.gradient(s), fd_gradient(action, s.pack(), n))
+        err = scaled_max_err(doubled_gradient(action, s), fd_gradient(action, pack(s), n))
         assert err <= 1e-6
 
 
@@ -212,14 +216,14 @@ def test_gradient_value_consistency_under_perturbation():
     cfg = wl.ProblemConfig(potential=wl.linear_potential(0.25), n_gamma=10)
     action = wl.DiscreteAction(cfg)
     s = random_state(cfg, rng)
-    z = s.pack()
+    z = pack(s)
     dz = rng.standard_normal(z.size)
     dz /= np.linalg.norm(dz)
     eps = 1e-6
-    predicted = float(action.gradient(s) @ dz)
+    predicted = float(doubled_gradient(action, s) @ dz)
     measured = (
-        action.value(wl.StateVector.unpack(z + eps * dz, 10))
-        - action.value(wl.StateVector.unpack(z - eps * dz, 10))
+        doubled_value(action, unpack(z + eps * dz, 10))
+        - doubled_value(action, unpack(z - eps * dz, 10))
     ) / (2 * eps)
     assert abs(predicted - measured) / (1 + abs(measured)) <= 1e-6
 
@@ -230,7 +234,7 @@ def test_lambda_block_equals_residuals():
     action = wl.DiscreteAction(cfg)
     s = random_state(cfg, rng)
     np.testing.assert_array_equal(
-        action.gradient(s)[4 * 9 :], action.constraints(s)
+        doubled_gradient(action, s)[4 * 9 :], constraints(action, s)
     )
 
 
@@ -241,7 +245,7 @@ def test_hessian_symmetric_and_matches_fd():
     s = random_state(cfg, rng)
     hess = doubled_hessian(action, s)
     assert np.max(np.abs(hess - hess.T)) <= 1e-12
-    assert scaled_max_err(hess, fd_hessian(action, s.pack(), 8)) <= 1e-5
+    assert scaled_max_err(hess, fd_hessian(action, pack(s), 8)) <= 1e-5
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
@@ -262,7 +266,7 @@ def test_free_hessian_cross_blocks_vanish():
     s = random_state(cfg, rng)
     for t, x in ((s.t1, s.x1), (s.t2, s.x2)):
         # rows t1, x1 and columns t1, x1 of R H P, point by point
-        coords = np.asarray(action.hessian(t, x))[4:, :-4]
+        coords = dense(action.hessian(t, x))[4:, :-4]
         assert np.all(coords[0::2, 1::2] == 0.0)  # t rows, x columns
         assert np.all(coords[1::2, 0::2] == 0.0)  # x rows, t columns
         assert np.all(np.diag(coords) != 0.0)
@@ -277,7 +281,7 @@ def test_free_line_gradient_structure():
     action = wl.DiscreteAction(cfg)
     n = 16
     s0 = wl.initial_guess(cfg)
-    g0 = action.gradient(s0)[: 4 * n].reshape(4, n)
+    g0 = doubled_gradient(action, s0)[: 4 * n].reshape(4, n)
     assert np.max(np.abs(g0[:, :-1])) <= 1e-12
     np.testing.assert_allclose(
         g0[:, -1],
@@ -288,7 +292,7 @@ def test_free_line_gradient_structure():
     lam[4] = -cfg.c ** 2 * cfg.tdot_i
     lam[5] = cfg.xdot_i
     s1 = wl.StateVector(t1=s0.t1, t2=s0.t2, x1=s0.x1, x2=s0.x2, lam=lam)
-    assert np.max(np.abs(action.gradient(s1)[: 4 * n])) <= 1e-12
+    assert np.max(np.abs(doubled_gradient(action, s1)[: 4 * n])) <= 1e-12
 
 
 # ---------------------------------------------------------------- symmetries
@@ -306,12 +310,12 @@ def test_time_translation_invariance():
     # shifting the trajectory together with the absorbed initial value and
     # the constraint target leaves the action exactly invariant
     consistent = wl.DiscreteAction(replace(cfg, t_i=cfg.t_i + shift))
-    assert abs(consistent.value(shifted) - action.value(s)) <= 1e-12
+    assert abs(doubled_value(consistent, shifted) - doubled_value(action, s)) <= 1e-12
 
     # shifting only the operator's absorbed value exposes the lam_1 term
     operator_only = wl.DiscreteAction(cfg)
     operator_only.reg_t = wl.regularize(operator_only.op, cfg.t_i + shift)
-    delta = operator_only.value(shifted) - action.value(s)
+    delta = doubled_value(operator_only, shifted) - doubled_value(action, s)
     assert abs(delta - s.lam[0] * shift) <= 1e-12
 
 
@@ -325,7 +329,7 @@ def test_space_translation_invariance_free():
         t1=s.t1, t2=s.t2, x1=s.x1 + shift, x2=s.x2 + shift, lam=s.lam
     )
     consistent = wl.DiscreteAction(replace(cfg, x_i=cfg.x_i + shift))
-    assert abs(consistent.value(shifted) - action.value(s)) <= 1e-12
+    assert abs(doubled_value(consistent, shifted) - doubled_value(action, s)) <= 1e-12
 
 
 def test_exchange_antisymmetry():
@@ -335,7 +339,9 @@ def test_exchange_antisymmetry():
     plain = wl.StateVector(t1=s.t1, t2=s.t2, x1=s.x1, x2=s.x2, lam=np.zeros(8))
     swapped = wl.StateVector(t1=s.t2, t2=s.t1, x1=s.x2, x2=s.x1, lam=np.zeros(8))
     action = wl.DiscreteAction(cfg)
-    assert action.value(swapped) == pytest.approx(-action.value(plain), abs=1e-13)
+    assert doubled_value(action, swapped) == pytest.approx(
+        -doubled_value(action, plain), abs=1e-13
+    )
 
 
 @pytest.mark.parametrize("order", ["sbp21", "sbp42"])
@@ -344,7 +350,7 @@ def test_large_grid_stores_only_linear_size_arrays(order):
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=n, order=order)
     action = wl.DiscreteAction(cfg)
     s = wl.initial_guess(cfg)
-    assert np.all(np.isfinite(action.gradient(s)))
+    assert np.all(np.isfinite(doubled_gradient(action, s)))
     hess = action.hessian(s.t1, s.x1)
     assert np.all(np.isfinite(hess.ab))
     assert (hess.kl, hess.ku) == {"sbp21": (8, 2), "sbp42": (14, 6)}[order]
@@ -482,7 +488,8 @@ _SOLVE = textwrap.dedent("""
         import scipy.linalg
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=64, order="sbp42")
     sol = wl.solve(cfg)
-    got = {"state": hashlib.sha256(sol.state.pack().tobytes()).hexdigest()}
+    state = np.concatenate([sol.state.t1, sol.state.x1, sol.state.lam])
+    got = {"state": hashlib.sha256(state.tobytes()).hexdigest()}
     got["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 """)
 
@@ -555,7 +562,8 @@ def test_first_solves_from_four_threads_load_the_band_solver_once():
 
         def first_solve():
             start.wait()
-            states.append(wl.solve(cfg).state.pack().tobytes())
+            s = wl.solve(cfg).state
+            states.append(s.t1.tobytes() + s.x1.tobytes() + s.lam.tobytes())
 
         sys.setswitchinterval(1e-6)  # switch threads often inside the loader
         threads = [threading.Thread(target=first_solve) for _ in range(4)]

@@ -32,3 +32,20 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                     if alias.name.startswith("_")
                 ]
     assert found == []
+
+
+
+def test_the_action_has_one_gradient_and_the_state_no_flat_form():
+    # Newton reads the action through ``gradient(t, x, lam)`` and ``hessian``
+    # alone; the doubled evaluators live in the tests' reference
+    from worldline.action import BandedHessian, DiscreteAction, StateVector
+
+    gone = [
+        (DiscreteAction, "residual"),
+        (DiscreteAction, "value"),
+        (DiscreteAction, "constraints"),
+        (StateVector, "pack"),
+        (StateVector, "unpack"),
+        (BandedHessian, "__array__"),
+    ]
+    assert [(cls.__name__, name) for cls, name in gone if hasattr(cls, name)] == []

@@ -12,7 +12,15 @@ import worldline as wl
 from worldline.action import metric_g00, metric_g00_prime, metric_g00_second
 from worldline.sbp import MIN_POINTS
 from worldline.solver import _lift
-from conftest import multiplier_block, physical_limit_indices
+from conftest import (
+    dense,
+    doubled_gradient,
+    doubled_value,
+    multiplier_block,
+    pack,
+    physical_limit_indices,
+    unpack,
+)
 
 families = st.sampled_from(sorted(MIN_POINTS))
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -56,11 +64,11 @@ def test_action_invariant_under_time_shift(family, n_offset, potential, shift, s
         potential=potential, n_gamma=MIN_POINTS[family] + n_offset, order=family
     )
     rng = np.random.default_rng(seed)
-    z = wl.initial_guess(cfg).pack() + 0.3 * rng.standard_normal(4 * cfg.n_gamma + 8)
-    s = wl.StateVector.unpack(z, cfg.n_gamma)
+    z = pack(wl.initial_guess(cfg)) + 0.3 * rng.standard_normal(4 * cfg.n_gamma + 8)
+    s = unpack(z, cfg.n_gamma)
     shifted = replace(s, t1=s.t1 + shift, t2=s.t2 + shift)
-    e = wl.DiscreteAction(cfg).value(s)
-    e_shifted = wl.DiscreteAction(replace(cfg, t_i=cfg.t_i + shift)).value(shifted)
+    e = doubled_value(wl.DiscreteAction(cfg), s)
+    e_shifted = doubled_value(wl.DiscreteAction(replace(cfg, t_i=cfg.t_i + shift)), shifted)
     assert abs(e_shifted - e) <= 1e-12 * (1.0 + abs(e))
 
 
@@ -135,32 +143,32 @@ def test_banded_hessian_matches_dense_reference(grid, potential, seed):
     cfg = wl.ProblemConfig(potential=potential, n_gamma=n, order=family)
     action = wl.DiscreteAction(cfg)
     rng = np.random.default_rng(seed)
-    z = wl.initial_guess(cfg).pack() + 0.3 * rng.standard_normal(4 * n + 8)
-    s = wl.StateVector.unpack(z, n)
+    z = pack(wl.initial_guess(cfg)) + 0.3 * rng.standard_normal(4 * n + 8)
+    s = unpack(z, n)
     hess = action.hessian(s.t1, s.x1)
     assert (hess.kl, hess.ku) == {"sbp21": (8, 2), "sbp42": (14, 6)}[family]
 
     # R H P: rows lam_1..lam_4, t1, x1; columns t1 = t2, x1 = x2, lam_5..lam_8
     rows, cols = physical_limit_indices(n)
-    dense = np.asarray(hess)
+    full = dense(hess)
     reference = dense_hessian(action, s)[rows][:, cols]
-    assert np.all(np.abs(dense - reference) <= 1e-12 * (1.0 + np.abs(reference)))
+    assert np.all(np.abs(full - reference) <= 1e-12 * (1.0 + np.abs(reference)))
 
-    grad = action.gradient(s)
-    step = _lift(hess.solve(grad[rows])).pack()
+    grad = doubled_gradient(action, s)
+    step = pack(_lift(hess.solve(grad[rows])))
     assert np.array_equal(step[n : 2 * n], step[:n])
     assert np.array_equal(step[3 * n : 4 * n], step[2 * n : 3 * n])
     assert np.all(step[4 * n : 4 * n + 4] == 0)
     y = step[cols]
-    residual = np.max(np.abs(dense @ y + grad[rows]))
-    scale = np.max(np.sum(np.abs(dense), axis=1)) * np.max(np.abs(y))
+    residual = np.max(np.abs(full @ y + grad[rows]))
+    scale = np.max(np.sum(np.abs(full), axis=1)) * np.max(np.abs(y))
     assert residual <= 1e-14 * (scale + np.max(np.abs(grad[rows])))
     # Two backward-stable solves agree to about eps * cond; a random state
     # can be nearly singular (1 in 1500 seeded draws had cond 2.5e9), and
     # there only the residual check above is meaningful.
-    expected = np.linalg.solve(dense, -grad[rows])
+    expected = np.linalg.solve(full, -grad[rows])
     if np.linalg.norm(y - expected) > 1e-10 * np.linalg.norm(expected):
-        assert np.linalg.cond(dense) > 1e8
+        assert np.linalg.cond(full) > 1e8
 
 
 @given(grid=grids, potential=potentials, seed=seeds)
@@ -172,19 +180,19 @@ def test_half_size_step_solves_the_doubled_system_at_the_limit(grid, potential, 
     cfg = wl.ProblemConfig(potential=potential, n_gamma=n, order=family)
     action = wl.DiscreteAction(cfg)
     rng = np.random.default_rng(seed)
-    z = wl.initial_guess(cfg).pack() + 0.3 * rng.standard_normal(4 * n + 8)
-    s = wl.StateVector.unpack(z, n)
+    z = pack(wl.initial_guess(cfg)) + 0.3 * rng.standard_normal(4 * n + 8)
+    s = unpack(z, n)
     s = replace(s, t2=s.t1, x2=s.x1, lam=np.append(np.zeros(4), s.lam[4:]))
-    grad = action.gradient(s)
+    grad = doubled_gradient(action, s)
     assert np.array_equal(grad[n : 2 * n], -grad[:n])
     assert np.array_equal(grad[3 * n : 4 * n], -grad[2 * n : 3 * n])
     assert np.all(grad[-4:] == 0)
 
-    dense = dense_hessian(action, s)
+    full = dense_hessian(action, s)
     rows, _ = physical_limit_indices(n)
-    step = _lift(action.hessian(s.t1, s.x1).solve(grad[rows])).pack()
-    residual = np.max(np.abs(dense @ step + grad))
-    scale = np.max(np.sum(np.abs(dense), axis=1)) * np.max(np.abs(step))
+    step = pack(_lift(action.hessian(s.t1, s.x1).solve(grad[rows])))
+    residual = np.max(np.abs(full @ step + grad))
+    scale = np.max(np.sum(np.abs(full), axis=1)) * np.max(np.abs(step))
     assert residual <= 1e-14 * (scale + np.max(np.abs(grad)))
 
 
@@ -203,8 +211,8 @@ def test_residual_is_the_restricted_gradient_at_the_lift(grid, potential, seed):
     y[-4:] = rng.standard_normal(4)
     s = _lift(y)
 
-    r = action.residual(s.t1, s.x1, s.lam)
-    grad = action.gradient(s)
+    r = action.gradient(s.t1, s.x1, s.lam)
+    grad = doubled_gradient(action, s)
     want = grad[physical_limit_indices(n)[0]]
 
     # each row sums a few terms; compare against the size of those terms

@@ -547,6 +547,26 @@ def test_step_collapse_reported_as_stiffness():
             wl.solve_geodesic_ode(cfg, 1e-10)
 
 
+def test_geodesic_oracle_refuses_a_window_too_long_to_seed_at_once():
+    # integrated, this window takes about 15 s and 367016 steps; a fresh
+    # process and a timeout keep a regression from stalling the suite
+    probe = textwrap.dedent("""
+        import worldline as wl
+
+        cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), gamma_f=30000.0)
+        try:
+            wl.solve_geodesic_ode(cfg, 1e-10)
+        except wl.StepFailure as exc:
+            print(exc)
+    """)
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(Path(reference.__file__).resolve().parents[1])},
+        capture_output=True, text=True, check=True, timeout=10,
+    )
+    assert out.stdout.startswith("window too long: the geodesic seed needs more than 100000")
+
+
 def test_convergence_study_requires_three_ascending_grids(linear_cfg):
     with pytest.raises(ValueError):
         wl.convergence_study(linear_cfg, [16, 32])

@@ -8,7 +8,7 @@ import worldline as wl
 from worldline.action import BandedHessian
 from worldline.diagnostics import interior_slice
 from worldline.solver import _SQRT_EPS, _lift, seed_steps
-from conftest import STALLING_CONFIG, physical_limit_indices
+from conftest import STALLING_CONFIG, constraints, doubled_gradient, pack, physical_limit_indices
 
 FAMILIES = pytest.mark.parametrize("order", ["sbp21", "sbp42"])
 POTENTIALS = pytest.mark.parametrize(
@@ -19,13 +19,13 @@ POTENTIALS = pytest.mark.parametrize(
 def test_initial_guess_satisfies_constraints():
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=20)
     action = wl.DiscreteAction(cfg)
-    res = action.constraints(wl.initial_guess(cfg))
+    res = constraints(action, wl.initial_guess(cfg))
     assert np.max(np.abs(res)) <= 1e-12
 
 
 def test_initial_guess_linear_potential_has_forcing():
     cfg = wl.ProblemConfig(potential=wl.linear_potential(0.25), n_gamma=32)
-    g = wl.DiscreteAction(cfg).gradient(wl.initial_guess(cfg))
+    g = doubled_gradient(wl.DiscreteAction(cfg), wl.initial_guess(cfg))
     assert np.linalg.norm(g) > 1e-3
 
 
@@ -80,7 +80,7 @@ def test_guess_is_projected_onto_the_physical_limit():
     )
     a = wl.solve(cfg, guess=skewed)
     b = wl.solve(cfg, guess=guess)
-    np.testing.assert_array_equal(a.state.pack(), b.state.pack())
+    np.testing.assert_array_equal(pack(a.state), pack(b.state))
     assert a.grad_history == b.grad_history
 
 
@@ -104,14 +104,14 @@ def test_solve_deterministic():
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=24)
     a = wl.solve(cfg)
     b = wl.solve(cfg)
-    np.testing.assert_array_equal(a.state.pack(), b.state.pack())
+    np.testing.assert_array_equal(pack(a.state), pack(b.state))
     assert a.grad_norm == b.grad_norm
     assert a.iterations == b.iterations
 
 
 def test_converged_flag_respects_tolerance(quartic_solution):
     assert quartic_solution.termination == "converged"
-    z = quartic_solution.state.pack()
+    z = pack(quartic_solution.state)
     tol = wl.SolveOptions().grad_tol * (1 + np.max(np.abs(z)))
     assert quartic_solution.grad_norm <= tol
 
@@ -181,7 +181,7 @@ def test_zero_pivot_is_a_linalg_error():
     singular = replace(hess, ab=np.zeros_like(hess.ab))
     rows, _ = physical_limit_indices(cfg.n_gamma)
     with pytest.raises(np.linalg.LinAlgError):
-        singular.solve(action.gradient(s)[rows])
+        singular.solve(doubled_gradient(action, s)[rows])
 
 
 def test_singular_newton_system_raises_at_the_first_iteration(monkeypatch):
@@ -222,23 +222,37 @@ def count_calls(monkeypatch, targets):
 
 @FAMILIES
 def test_solve_iterates_on_branch_one_only(monkeypatch, order):
-    # every trial point costs one residual; the doubled gradient stays off
-    # the path, each iteration builds one Hessian from branch 1, and the
-    # only states built are the seed and the result
+    # every trial point costs one gradient, each iteration builds one
+    # Hessian from branch 1, and the only states built are the seed and
+    # the result
     calls = count_calls(
         monkeypatch,
-        [(wl.DiscreteAction, name) for name in ("gradient", "residual", "hessian")]
+        [(wl.DiscreteAction, name) for name in ("gradient", "hessian")]
         + [(wl.StateVector, "__post_init__"), (BandedHessian, "resolve")],
     )
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=64, order=order)
     sol = wl.solve(cfg)
     assert sol.iterations > 0
-    assert calls["gradient"] == 0
     assert calls["__post_init__"] == 2
     assert calls["hessian"] == sol.iterations
     assert len(sol.grad_history) == sol.iterations + 1
-    # every trial step is accepted here, and each chord step costs one residual
-    assert calls["residual"] == sol.iterations + 1 + calls["resolve"]
+    # every trial step is accepted here, and each chord step costs one gradient
+    assert calls["gradient"] == sol.iterations + 1 + calls["resolve"]
+
+
+@FAMILIES
+def test_newton_evaluates_the_action_through_gradient_and_hessian_only(monkeypatch, order):
+    # every public method of the action is counted, as perfbench binds them
+    public = [
+        name for name, value in vars(wl.DiscreteAction).items()
+        if callable(value) and not name.startswith("_")
+    ]
+    calls = count_calls(monkeypatch, [(wl.DiscreteAction, name) for name in public])
+    cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=32, order=order)
+    sol = wl.solve(cfg)
+    assert {name for name, count in calls.items() if count} == {"gradient", "hessian"}
+    assert calls["hessian"] == sol.iterations
+    assert calls["gradient"] >= sol.iterations + 1
 
 
 # large_solve draws (perfbench, seed 1) whose gradient after the first
@@ -273,8 +287,8 @@ def test_one_band_lu_and_one_chord_step_near_the_floor(monkeypatch, label):
     assert calls["resolve"] == 1
     assert sol.termination == termination
     assert len(sol.grad_history) == 2 and sol.grad_norm == sol.grad_history[-1]
-    z = sol.state.pack()
-    grad_norm = np.linalg.norm(wl.DiscreteAction(cfg).gradient(sol.state))
+    z = pack(sol.state)
+    grad_norm = np.linalg.norm(doubled_gradient(wl.DiscreteAction(cfg), sol.state))
     if termination == "converged":
         # the gradient test holds at the state returned, not only at the one before
         assert grad_norm <= wl.SolveOptions().grad_tol * (1.0 + np.max(np.abs(z)))
@@ -284,15 +298,15 @@ def test_one_band_lu_and_one_chord_step_near_the_floor(monkeypatch, label):
 
 def test_stalled_line_search_raises_non_convergence(monkeypatch):
     # measured: the first line search tries all 47 step lengths down to
-    # _MIN_STEP, 48 residuals in all, and ends the solve
+    # _MIN_STEP, 48 gradients in all, and ends the solve
     calls = []
-    residual = wl.DiscreteAction.residual
+    gradient = wl.DiscreteAction.gradient
 
     def counted(self, *args):
         calls.append(1)
-        return residual(self, *args)
+        return gradient(self, *args)
 
-    monkeypatch.setattr(wl.DiscreteAction, "residual", counted)
+    monkeypatch.setattr(wl.DiscreteAction, "gradient", counted)
     cfg = wl.ProblemConfig.from_json_dict(STALLING_CONFIG)
     with pytest.raises(wl.NonConvergence, match="stalled") as err:
         wl.solve(cfg, guess=wl.initial_guess(cfg))
@@ -390,22 +404,22 @@ def test_roundoff_floor_is_a_newton_fixed_point():
     action = wl.DiscreteAction(cfg)
     hess = action.hessian(sol.state.t1, sol.state.x1)
     rows, _ = physical_limit_indices(cfg.n_gamma)
-    step = _lift(hess.solve(action.gradient(sol.state)[rows])).pack()
-    z = sol.state.pack()
+    step = pack(_lift(hess.solve(doubled_gradient(action, sol.state)[rows])))
+    z = pack(sol.state)
     assert np.max(np.abs(step)) <= _SQRT_EPS * (1.0 + np.max(np.abs(z)))
 
 
 def test_roundoff_floor_stops_without_backtracking(monkeypatch):
     # without the floor test the line search at the floor would backtrack
-    # up to 47 residuals toward the minimum step and end the solve stalled
+    # up to 47 gradients toward the minimum step and end the solve stalled
     calls = []
-    residual = wl.DiscreteAction.residual
+    gradient = wl.DiscreteAction.gradient
 
     def counted(self, *args):
         calls.append(1)
-        return residual(self, *args)
+        return gradient(self, *args)
 
-    monkeypatch.setattr(wl.DiscreteAction, "residual", counted)
+    monkeypatch.setattr(wl.DiscreteAction, "gradient", counted)
     cfg = wl.ProblemConfig(potential=wl.linear_potential(0.25), n_gamma=1024, order="sbp42")
     sol = wl.solve(cfg)
     assert sol.termination == "roundoff_floor"
