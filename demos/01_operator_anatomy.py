@@ -14,7 +14,7 @@ n, dgamma = 16, 1.0 / 15
 
 for order in ("sbp21", "sbp42"):
     op = wl.build_operator(order, n, dgamma)
-    q = op.q
+    q = op.h[:, None] * op.d  # Q = H D
     boundary = np.zeros((n, n))
     boundary[0, 0], boundary[-1, -1] = -1.0, 1.0
 

@@ -16,9 +16,8 @@ sol = wl.solve(cfg)
 print(f"solved in {sol.iterations} iterations (the free problem is quadratic), "
       f"|grad| = {sol.grad_norm:.1e}")
 
-t, x = sol.state.t1, sol.state.x1
-q_t = wl.noether_charge_t(t, x, cfg)
-q_x, q_eta = wl.free_case_charges(t, x, cfg)
+report = wl.diagnose(sol.state, cfg)
+q_t, q_x, q_eta = report.q_t, report.q_x, report.q_boost
 
 print()
 print("charge                      value      spread over the grid")

@@ -22,17 +22,8 @@ from .action import (
 )
 from .diagnostics import (
     DiagnosticsReport,
-    ErrorNorms,
-    HBvpDiagnostic,
-    NotFreePotential,
     PhysicalLimitViolation,
-    charge_deviation,
     diagnose,
-    error_norms,
-    free_case_charges,
-    geodesic_residuals,
-    h_bvp_profile,
-    noether_charge_t,
 )
 from .reference import (
     ConvergenceRow,

@@ -18,8 +18,8 @@ right boundary, and an interior stencil in between.  One builder assembles
 either family from its table into the O(n) entries of D, listed row by row
 as ``rows``, ``cols`` and ``vals``, from which ``apply`` and ``apply_t``
 compute D u and D^T v.  The norm H is stored as its diagonal, the vector
-``h`` of quadrature weights.  The dense ``d``, ``q`` and ``dbar`` are built
-on request only.
+``h`` of quadrature weights.  The dense ``d`` and ``dbar`` are built on
+request only.
 
 ``regularize`` absorbs an initial-value penalty term into either family.
 The result is an operator of the same type: D u becomes M u + s, where M
@@ -99,11 +99,6 @@ class SbpOperator:
         d = np.zeros((self.n, self.n))
         d[self.rows, self.cols] = self.vals
         return d
-
-    @property
-    def q(self) -> np.ndarray:
-        """Almost-skew part Q = H D."""
-        return self.h[:, None] * self.d
 
     @property
     def dbar(self) -> np.ndarray:

@@ -79,7 +79,7 @@ def test_criterion_1_sbp_identities():
     for order, n_set in (("sbp21", (8, 16, 32, 64, 128)), ("sbp42", (16, 32, 64, 128))):
         for n in n_set:
             op = wl.build_operator(order, n, 1.0 / (n - 1))
-            q = op.q
+            q = op.h[:, None] * op.d
             boundary = np.zeros((n, n))
             boundary[0, 0], boundary[-1, -1] = -1.0, 1.0
             worst_identity = max(
@@ -137,8 +137,8 @@ def test_criterion_3_free_particle_exactness(free_cfg, free_solution):
         float(np.max(np.abs(sol.state.t1 - line_t))),
         float(np.max(np.abs(sol.state.x1 - line_x))),
     )
-    q_t = wl.noether_charge_t(sol.state.t1, sol.state.x1, free_cfg)
-    q_x, q_eta = wl.free_case_charges(sol.state.t1, sol.state.x1, free_cfg)
+    report = wl.diagnose(sol.state, free_cfg)
+    q_t, q_x, q_eta = report.q_t, report.q_x, report.q_boost
     spread = max(
         float(np.max(np.abs(q - q[0]))) for q in (q_t, q_x, q_eta)
     )
@@ -174,7 +174,7 @@ def test_criterion_5_interior_noether_conservation(base_solutions):
     details = []
     ok = True
     for (pot_name, order), (cfg, sol) in base_solutions.items():
-        delta = wl.charge_deviation(sol.state.t1, sol.state.x1, cfg)
+        delta = wl.diagnose(sol.state, cfg).delta_e
         interior = float(np.max(np.abs(delta[interior_slice])))
         end = float(abs(delta[-1]))
         ok &= interior <= 1e-9
@@ -191,7 +191,8 @@ def test_criterion_6_residual_support(base_solutions):
     worst = 0.0
     for pot_name in ("linear", "quartic"):
         cfg, sol = base_solutions[(pot_name, "sbp21")]
-        dg_t, dg_x = wl.geodesic_residuals(sol.state.t1, sol.state.x1, cfg)
+        report = wl.diagnose(sol.state, cfg)
+        dg_t, dg_x = report.delta_g_t, report.delta_g_x
         worst = max(
             worst, float(np.max(np.abs(dg_t[:-2]))), float(np.max(np.abs(dg_x[:-2])))
         )
@@ -266,9 +267,10 @@ def test_criterion_10_stability_bound(base_solutions, free_solution, free_cfg):
     details = []
     ok = True
     for cfg, sol in cases:
-        hb = wl.h_bvp_profile(sol.state.t1, sol.state.x1, cfg)
-        ok &= hb.total <= hb.bound + 1e-8
-        details.append(f"{hb.total:.3f}<={hb.bound:.3f}")
+        report = wl.diagnose(sol.state, cfg)
+        total, bound = report.h_bvp_total, report.h_bvp_bound
+        ok &= total <= bound + 1e-8
+        details.append(f"{total:.3f}<={bound:.3f}")
     check(10, ok, "; ".join(details))
 
 

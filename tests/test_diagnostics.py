@@ -7,13 +7,8 @@ import worldline as wl
 from worldline.diagnostics import continuum_charge_t, interior_slice
 
 
-def straight_line_state(cfg):
-    return wl.initial_guess(cfg)
-
-
 def test_charge_on_free_straight_line(free_cfg):
-    s = straight_line_state(free_cfg)
-    q = wl.noether_charge_t(s.t1, s.x1, free_cfg)
+    q = wl.diagnose(wl.initial_guess(free_cfg), free_cfg).q_t
     np.testing.assert_allclose(q, np.ones(free_cfg.n_gamma), atol=1e-12)
 
 
@@ -22,10 +17,8 @@ def test_continuum_charge_values(linear_cfg, quartic_cfg):
     assert continuum_charge_t(quartic_cfg) == pytest.approx(2.0)
 
 
-def test_charge_deviation_first_entry(linear_cfg, linear_solution):
-    delta = wl.charge_deviation(
-        linear_solution.state.t1, linear_solution.state.x1, linear_cfg
-    )
+def test_delta_e_first_entry(linear_cfg, linear_solution):
+    delta = wl.diagnose(linear_solution.state, linear_cfg).delta_e
     # pinned by the initial conditions, so zero at solver tolerance
     assert abs(delta[0]) <= 1e-12
 
@@ -40,7 +33,7 @@ def test_charge_deviation_first_entry(linear_cfg, linear_solution):
 def test_interior_conservation(fixture, cfg_fixture, endpoint_bound, request):
     sol = request.getfixturevalue(fixture)
     cfg = request.getfixturevalue(cfg_fixture)
-    delta = wl.charge_deviation(sol.state.t1, sol.state.x1, cfg)
+    delta = wl.diagnose(sol.state, cfg).delta_e
     assert np.max(np.abs(delta[interior_slice])) <= 1e-9
     if endpoint_bound is not None:
         assert abs(delta[-1]) < endpoint_bound
@@ -50,39 +43,32 @@ def test_linear_sbp42_endpoint_deviation():
     cfg = wl.ProblemConfig(
         potential=wl.linear_potential(0.25), n_gamma=32, order="sbp42"
     )
-    sol = wl.solve(cfg)
-    delta = wl.charge_deviation(sol.state.t1, sol.state.x1, cfg)
+    delta = wl.diagnose(wl.solve(cfg).state, cfg).delta_e
     assert np.max(np.abs(delta[interior_slice])) <= 1e-9
     assert abs(delta[-1]) <= 1e-5
 
 
-def test_geodesic_residuals_free_line(free_cfg):
-    s = straight_line_state(free_cfg)
-    dg_t, dg_x = wl.geodesic_residuals(s.t1, s.x1, free_cfg)
+def test_residuals_on_free_straight_line(free_cfg):
+    report = wl.diagnose(wl.initial_guess(free_cfg), free_cfg)
+    dg_t, dg_x = report.delta_g_t, report.delta_g_x
     assert np.max(np.abs(dg_t)) <= 1e-12
     assert np.max(np.abs(dg_x)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [64, 16], ids=["longer", "shorter"])
 @pytest.mark.parametrize(
-    "entry",
-    [
-        "noether_charge_t",
-        "charge_deviation",
-        "geodesic_residuals",
-        "free_case_charges",
-        "h_bvp_profile",
-        "diagnose",
-    ],
+    "with_reference", [False, True], ids=["diagnose", "diagnose_with_reference"]
 )
-def test_diagnostics_refuse_a_trajectory_of_another_grid(free_cfg, entry, n):
+def test_diagnostics_refuse_a_trajectory_of_another_grid(free_cfg, with_reference, n):
     # checked with the 32-point operator, a longer trajectory would give
-    # meaningless values past point 31, a shorter one an IndexError
-    s = straight_line_state(replace(free_cfg, n_gamma=n))
-    args = (s,) if entry == "diagnose" else (s.t1, s.x1)
+    # meaningless values past point 31, a shorter one an IndexError; the
+    # trajectory is refused before a reference of the right grid is read
+    s = wl.initial_guess(replace(free_cfg, n_gamma=n))
+    good = wl.initial_guess(free_cfg)
+    reference = (good.t1, good.x1) if with_reference else None
     want = rf"trajectory has \({n},\) and \({n},\) points but the grid has 32$"
     with pytest.raises(ValueError, match=want):
-        getattr(wl, entry)(*args, free_cfg)
+        wl.diagnose(s, free_cfg, reference=reference)
 
 
 @pytest.mark.parametrize(
@@ -91,7 +77,8 @@ def test_diagnostics_refuse_a_trajectory_of_another_grid(free_cfg, entry, n):
 def test_residual_support_last_two_points(fixture, cfg_fixture, request):
     sol = request.getfixturevalue(fixture)
     cfg = request.getfixturevalue(cfg_fixture)
-    dg_t, dg_x = wl.geodesic_residuals(sol.state.t1, sol.state.x1, cfg)
+    report = wl.diagnose(sol.state, cfg)
+    dg_t, dg_x = report.delta_g_t, report.delta_g_x
     assert np.max(np.abs(dg_t[:-2])) <= 1e-9
     assert np.max(np.abs(dg_x[:-2])) <= 1e-9
     # the last two entries genuinely deviate
@@ -104,41 +91,32 @@ def test_residual_support_widens_with_sbp42_closure():
     cfg = wl.ProblemConfig(
         potential=wl.quartic_potential(0.5), n_gamma=32, order="sbp42"
     )
-    sol = wl.solve(cfg)
-    dg_t, dg_x = wl.geodesic_residuals(sol.state.t1, sol.state.x1, cfg)
+    report = wl.diagnose(wl.solve(cfg).state, cfg)
+    dg_t, dg_x = report.delta_g_t, report.delta_g_x
     assert np.max(np.abs(dg_t[:-6])) <= 1e-9
     assert np.max(np.abs(dg_x[:-6])) <= 1e-9
 
 
-def test_free_case_charges_straight_line(free_cfg):
-    s = straight_line_state(free_cfg)
-    q_x, q_boost = wl.free_case_charges(s.t1, s.x1, free_cfg)
+def test_free_charges_on_straight_line(free_cfg):
+    report = wl.diagnose(wl.initial_guess(free_cfg), free_cfg)
+    q_x, q_boost = report.q_x, report.q_boost
     np.testing.assert_allclose(q_x, -0.1 * np.ones(free_cfg.n_gamma), atol=1e-12)
     # boost charge equals its initial value x_i * tdot_i everywhere
     np.testing.assert_allclose(q_boost, np.ones(free_cfg.n_gamma), atol=1e-12)
 
 
-def test_free_case_charges_after_solve(free_cfg, free_solution):
-    q_x, q_boost = wl.free_case_charges(
-        free_solution.state.t1, free_solution.state.x1, free_cfg
-    )
+def test_free_charges_after_solve(free_cfg, free_solution):
+    report = wl.diagnose(free_solution.state, free_cfg)
+    q_x, q_boost = report.q_x, report.q_boost
     assert np.max(np.abs(q_x - q_x[0])) <= 1e-10
     assert np.max(np.abs(q_boost - q_boost[0])) <= 1e-10
 
 
-def test_free_case_charges_requires_free_potential(linear_cfg, linear_solution):
-    with pytest.raises(wl.NotFreePotential):
-        wl.free_case_charges(
-            linear_solution.state.t1, linear_solution.state.x1, linear_cfg
-        )
-
-
 def test_h_bvp_free_profile(free_cfg):
-    s = straight_line_state(free_cfg)
-    hb = wl.h_bvp_profile(s.t1, s.x1, free_cfg)
+    profile = wl.diagnose(wl.initial_guess(free_cfg), free_cfg).h_bvp
     expected = 0.5 * (free_cfg.tdot_i ** 2 + free_cfg.xdot_i ** 2)
-    np.testing.assert_allclose(hb.profile, expected, rtol=1e-12)
-    assert np.all(hb.profile > 0)
+    np.testing.assert_allclose(profile, expected, rtol=1e-12)
+    assert np.all(profile > 0)
 
 
 @pytest.mark.parametrize(
@@ -152,39 +130,47 @@ def test_h_bvp_free_profile(free_cfg):
 def test_h_bvp_linear_growth_bound(fixture, cfg_fixture, request):
     sol = request.getfixturevalue(fixture)
     cfg = request.getfixturevalue(cfg_fixture)
-    hb = wl.h_bvp_profile(sol.state.t1, sol.state.x1, cfg)
-    assert hb.total <= hb.bound + 1e-8
+    report = wl.diagnose(sol.state, cfg)
+    assert report.h_bvp_total <= report.h_bvp_bound + 1e-8
 
 
-def test_error_norms_zero_for_identical():
-    rng = np.random.default_rng(0)
-    op = wl.build_operator("sbp21", 9, 1 / 8)
-    t = rng.standard_normal(9)
-    x = rng.standard_normal(9)
-    err = wl.error_norms(t, x, t, x, op.h)
+def random_state(n, seed):
+    # a state at the physical limit with random coordinates
+    rng = np.random.default_rng(seed)
+    t, x = rng.standard_normal(n), rng.standard_normal(n)
+    return wl.StateVector(t, t, x, x, np.zeros(8))
+
+
+def test_reference_errors_zero_for_identical():
+    cfg = wl.ProblemConfig(potential=wl.free_potential(), n_gamma=9)
+    s = random_state(9, 0)
+    err = wl.diagnose(s, cfg, reference=(s.t1, s.x1))
     assert err.eps_final_x == err.eps_final_t == 0.0
     assert err.eps_l2_x == err.eps_l2_t == 0.0
 
 
-def test_error_norms_constant_offset():
-    op = wl.build_operator("sbp21", 17, 1 / 16)
+def test_reference_errors_constant_offset():
+    cfg = wl.ProblemConfig(potential=wl.free_potential(), n_gamma=17)
     t = np.linspace(0.0, 1.0, 17)
     x = np.linspace(1.0, 1.1, 17)
     delta = 0.01
-    err = wl.error_norms(t, x + delta, t, x, op.h)
+    s = wl.StateVector(t, t, x + delta, x + delta, np.zeros(8))
+    err = wl.diagnose(s, cfg, reference=(t, x))
     assert err.eps_l2_x == pytest.approx(delta * np.sqrt(1.0), rel=1e-12)
     assert err.eps_l2_t == 0.0
     assert err.eps_final_x == pytest.approx(delta)
 
 
-def test_error_norms_dimension_mismatch():
-    op = wl.build_operator("sbp21", 9, 1 / 8)
-    with pytest.raises(ValueError):
-        wl.error_norms(np.ones(9), np.ones(9), np.ones(8), np.ones(8), op.h)
+@pytest.mark.parametrize("m", [8, 1, 10])
+def test_reference_of_another_size_is_refused(m):
+    # a length-1 reference would broadcast against the trajectory
+    cfg = wl.ProblemConfig(potential=wl.free_potential(), n_gamma=9)
+    with pytest.raises(ValueError, match="reference has"):
+        wl.diagnose(random_state(9, 0), cfg, reference=(np.ones(m), np.ones(m)))
 
 
 def test_diagnose_rejects_split_branches(free_cfg):
-    s = straight_line_state(free_cfg)
+    s = wl.initial_guess(free_cfg)
     nan_at_5 = np.where(np.arange(s.n) == 5, np.nan, 0.0)
     for split in (
         replace(s, t2=s.t2 + 1e-6),

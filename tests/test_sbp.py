@@ -38,7 +38,7 @@ def test_sbp42_boundary_closure():
 )
 def test_sbp_identity(order, n):
     op = wl.build_operator(order, n, 1.0 / (n - 1))
-    q = op.q
+    q = op.h[:, None] * op.d
     dev = np.max(np.abs(q + q.T - boundary_identity(n)))
     assert dev <= 1e-14
 
@@ -184,5 +184,5 @@ def test_minimum_points_table():
     assert MIN_POINTS == {"sbp21": 3, "sbp42": 9}
     # the smallest legal fourth-order grid still satisfies the identity
     op = wl.build_operator("sbp42", 9, 0.125)
-    q = op.q
+    q = op.h[:, None] * op.d
     assert np.max(np.abs(q + q.T - boundary_identity(9))) <= 1e-14

@@ -91,7 +91,7 @@ def test_connecting_multiplier_carries_the_noether_charge(n, order, potential):
     # lam_5 = -Q_t with Q_t = g00(x) (D t), constant in the interior
     cfg = wl.ProblemConfig(potential=potential, n_gamma=n, order=order)
     sol = wl.solve(cfg)
-    q_t = wl.noether_charge_t(sol.state.t1, sol.state.x1, cfg)
+    q_t = wl.diagnose(sol.state, cfg).q_t
     assert np.max(np.abs(sol.state.lam[4] + q_t[interior_slice])) <= 1e-11
 
 
