@@ -308,9 +308,9 @@ class StateVector:
 
 
 # The metric and its x-derivatives, elementwise on a float or a float array x.
-# The geodesic oracle and the Newton seed call them on Python floats, so they
-# add no conversion of their own, and the built-in potentials keep a float a
-# float (x ** 0 is 1 even at nan and inf, so alpha * x ** 0 is always alpha).
+# They and ``geodesic_rhs`` add no conversion of their own, and the built-in
+# potentials keep a float a float (x ** 0 is 1 even at nan and inf, so
+# alpha * x ** 0 is always alpha), so the oracle and the seed run on floats.
 def metric_g00(x, cfg: ProblemConfig):
     """Temporal metric component g00 = c^2 + 2 V(x)/m."""
     return cfg.c ** 2 + 2.0 * cfg.potential.v(x) / cfg.m
@@ -326,11 +326,20 @@ def metric_g00_second(x, cfg: ProblemConfig):
     return 2.0 * cfg.potential.d2v(x) / cfg.m
 
 
-def geodesic_rhs(y, cfg: ProblemConfig) -> tuple:
-    """d/dgamma of (t, tdot, x, xdot): (g00 tdot)' = 0, xddot = -(g00'/2) tdot^2."""
-    _, td, x, xd = y
-    g00p = metric_g00_prime(x, cfg)
-    return (td, -(g00p / metric_g00(x, cfg)) * xd * td, xd, -0.5 * g00p * td * td)
+def geodesic_rhs(cfg: ProblemConfig) -> Callable:
+    """``rhs(y)``: d/dgamma of y = (t, tdot, x, xdot) for ``cfg``, which it reads once.
+
+    (g00 tdot)' = 0 and xddot = -(g00'/2) tdot^2, with g00 and g00' as
+    ``metric_g00`` and ``metric_g00_prime`` compute them, on floats or arrays.
+    """
+    c2, m, v, dv = cfg.c ** 2, cfg.m, cfg.potential.v, cfg.potential.dv
+
+    def rhs(y):
+        _, td, x, xd = y
+        g00p = 2.0 * dv(x) / m
+        return (td, -(g00p / (c2 + 2.0 * v(x) / m)) * xd * td, xd, -0.5 * g00p * td * td)
+
+    return rhs
 
 
 @dataclass

@@ -16,16 +16,18 @@ Wanner, Solving ODEs I, sections II.5-II.6) with no step cap, so the
 tolerance alone sets the step count.  The tableau is read on the first
 oracle call from scipy's own coefficient file, run by path, so no scipy
 package is imported.  The trial step is straight-line code generated from
-it, as a loop over it cost four times the right-hand sides.  Positions come
-from the 7th-order dense output (II.10).
+it, as a loop over it cost four times the right-hand sides.  A trial step
+in which a float raises (overflow in ``**``, division by zero) is taken once
+more on numpy scalars, which give inf and nan instead with the same bits
+elsewhere.  Positions come from the 7th-order dense output (II.10).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, replace
-from array import array
 from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from pathlib import Path
 from typing import Callable
@@ -34,7 +36,7 @@ import numpy as np
 
 from .action import ProblemConfig, geodesic_rhs
 from .diagnostics import diagnose
-from .solver import SolveOptions, Solution, StepFailure, seed_steps, solve
+from .solver import SolveOptions, StepFailure, seed_steps, solve
 
 __all__ = [
     "StiffnessSuspected",
@@ -97,10 +99,10 @@ def _initial_step(rhs, y0, f0, length, rtol, atol):
 def _trial_step(dim):
     """scipy's DOP853 trial step for states of length dim, as generated code.
 
-    ``step(rhs, y, f, h, rtol, atol)`` returns the solution, the 13 stages
-    flattened stage by stage (the last is rhs at the solution) and scipy's
-    error norm, every sum written out with literal coefficients in the order
-    of a loop over the tableau.
+    ``step(rhs, y, f, h, rtol, atol)`` returns the solution, the last of its
+    13 stages (rhs at the solution), all 13 packed stage by stage as float64
+    bytes, and scipy's error norm, every sum written out with literal
+    coefficients in the order of a loop over the tableau.
     """
     # A zero coefficient is left out, which changes at most the sign of a zero
     # sum of finite stages.  An inf stage times 0 is nan in a loop; here the sum
@@ -126,13 +128,13 @@ def _trial_step(dim):
         lines.append("e5, e3 = e5 + r5 * r5, e3 + r3 * r3")
     lines.append(f"error = e5 and abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {dim})")
     stages = "".join(each(f"k{s}_{{i}}") for s in range(13))
-    lines.append(f"return y_new, ({stages}), error")
-    namespace = {"sqrt": math.sqrt}
+    lines.append(f"return y_new, ({each('k12_{i}')}), pack({stages}), error")
+    namespace = {"sqrt": math.sqrt, "pack": struct.Struct(f"{13 * dim}d").pack}
     exec("\n    ".join(lines), namespace)
     return namespace["step"]
 
 
-# the numpy fallback of the right-hand sides overflows into inf and nan
+# the numpy retry of a trial step overflows into inf and nan
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _dop853(rhs, span, y0, tol, event=None):
     """scipy's DOP853 steps for y' = rhs(y) at rtol max(tol, _RTOL_FLOOR), atol tol.
@@ -141,13 +143,17 @@ def _dop853(rhs, span, y0, tol, event=None):
     whether ``event(y)`` changed sign over the last step, which ends the run.
     """
     (t, t_end), rtol, atol = span, max(tol, _RTOL_FLOOR), tol
-    y, f = list(y0), rhs(y0)
+    y = list(y0)
+    try:
+        f = rhs(y)
+    except (OverflowError, ZeroDivisionError):  # floats raise where numpy gives inf, nan
+        f = rhs(np.array(y))
     # a non-finite derivative at the start turns the step size into nan
     if not all(map(math.isfinite, f)):
         raise StepFailure("the right-hand side is not finite at the initial point")
     h_abs = _initial_step(rhs, y, f, t_end - t, rtol, atol)
     step = _trial_step(len(y))
-    ts, ys, stages, crossed = [t], [y], array("d"), False  # 13 stages a step
+    ts, ys, stages, crossed = [t], [y], bytearray(), False  # 13 stages a step
     g = event(y) if event else None
     while t < t_end and not crossed:
         min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -159,16 +165,19 @@ def _dop853(rhs, span, y0, tol, event=None):
                 )
             t_new = min(t + h_abs, t_end)
             h = t_new - t
-            y_new, ks, error = step(rhs, y, f, h, rtol, atol)
+            try:
+                y_new, f_new, packed, error = step(rhs, y, f, h, rtol, atol)
+            except (OverflowError, ZeroDivisionError):  # the same step on numpy scalars
+                y_new, f_new, packed, error = step(rhs, np.array(y), f, h, rtol, atol)
             if error < 1:
                 factor = 10 if error == 0 else min(10, 0.9 * error ** -0.125)
                 h_abs = abs(h) * (min(1, factor) if rejected else factor)
                 break
             h_abs, rejected = abs(h) * max(0.2, 0.9 * error ** -0.125), True
-        t, y, f = t_new, y_new, ks[-len(y):]
+        t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-        stages.extend(ks)
+        stages += packed
         if event is not None:
             g, g_old = event(y), g
             crossed = g_old <= 0 <= g or g_old >= 0 >= g
@@ -178,12 +187,14 @@ def _dop853(rhs, span, y0, tol, event=None):
 def _dense_output(rhs, ts, ys, stages):
     """scipy's DOP853 interpolants of all steps, built in one vectorised pass.
 
-    A step boundary takes the earlier step; shape (dim,) or (dim, len(t)).
+    ``stages`` is a buffer of each step's 13 stages as float64.  A step
+    boundary takes the earlier step; shape (dim,) or (dim, len(t)).
     """
-    ts = np.array(ts)
+    ts, ys = np.array(ts), np.array(ys)
     t_old, h = ts[:-1], np.diff(ts)
-    y_old, delta = np.array(ys[:-1]), np.diff(ys, axis=0)  # (steps, dim)
-    k = np.pad(np.reshape(stages, (len(h), 13, -1)), ((0, 0), (0, 3), (0, 0)))
+    y_old, delta = ys[:-1], np.diff(ys, axis=0)  # (steps, dim)
+    k = np.empty((len(h), 16, ys.shape[1]))  # the 13 stages, then the 3 extra ones
+    k[:, :13] = np.frombuffer(stages).reshape(len(h), 13, -1)
     tab = _tableau()
     for s in range(13, 16):  # the 3 extra stages
         k[:, s] = np.array(rhs((y_old + (tab.A[s, :s] @ k[:, :s]) * h[:, None]).T)).T
@@ -224,17 +235,6 @@ class ReferenceTrajectory:
         return self._dense(gamma)[2]
 
 
-def _floats_first(f, *args):
-    # floats are ~5x cheaper than numpy scalars but raise where numpy gives inf or nan
-    def rhs(y):
-        try:
-            return f(y, *args)
-        except (OverflowError, ZeroDivisionError):
-            return f(np.array(y), *args)
-
-    return rhs
-
-
 def solve_geodesic_ode(cfg: ProblemConfig, tol: float = 1e-12) -> ReferenceTrajectory:
     """Integrate the geodesic system over [gamma_i, gamma_f].
 
@@ -243,8 +243,7 @@ def solve_geodesic_ode(cfg: ProblemConfig, tol: float = 1e-12) -> ReferenceTraje
     _check_tol(tol)
     seed_steps(cfg)
     span, y0 = (cfg.gamma_i, cfg.gamma_f), (cfg.t_i, cfg.tdot_i, cfg.x_i, cfg.xdot_i)
-    rhs = _floats_first(geodesic_rhs, cfg)
-    gamma, (t, td, x, xd), dense, _ = _dop853(rhs, span, y0, tol)
+    gamma, (t, td, x, xd), dense, _ = _dop853(geodesic_rhs(cfg), span, y0, tol)
     return ReferenceTrajectory(gamma, t, x, td, xd, dense)
 
 
@@ -286,7 +285,7 @@ def solve_physical_eom(
         return c * (1.0 - 1e-6) - abs(y[1])
 
     span, y0 = (cfg.t_i, t_final), (cfg.x_i, cfg.v_init)
-    t, (x, u), dense, crossed = _dop853(_floats_first(eom), span, y0, tol, below_c)
+    t, (x, u), dense, crossed = _dop853(eom, span, y0, tol, below_c)
     if crossed:  # located on the last step's interpolant, as scipy locates events
         from scipy.optimize import brentq
         t_c = brentq(lambda s: below_c(dense(s)), *t[-2:], xtol=4 * np.finfo(float).eps)
@@ -347,15 +346,23 @@ class ConvergenceTable:
         return fits
 
 
-def _row_from_solution(cfg, sol: Solution, oracle, oracle_gamma) -> ConvergenceRow:
-    # oracle_gamma: the oracle's parameter at each grid point; one pass over
-    # the dense output yields both t and x
-    t_ref, _, x_ref, _ = oracle._dense(oracle_gamma)
-    report = diagnose(sol.state, cfg, (t_ref, x_ref))
+def _table(runs, oracle, gammas) -> ConvergenceTable:
+    """The rows of the solved runs (cfg, Solution) against the oracle.
+
+    gammas: the oracle's parameter at each run's grid points.  One pass over
+    the dense output, elementwise and so bit for bit the per-row passes,
+    yields t and x for every row.
+    """
+    t_ref, _, x_ref, _ = oracle._dense(np.concatenate(gammas))
+    ends = np.cumsum([len(g) for g in gammas])[:-1]
     measures = (*_ERROR_COLUMNS, "delta_e_end", "max_interior_delta_e")
-    return ConvergenceRow(
-        int(cfg.n_gamma), cfg.dgamma, *(getattr(report, name) for name in measures)
-    )
+    rows = []
+    for (cfg, sol), t, x in zip(runs, np.split(t_ref, ends), np.split(x_ref, ends)):
+        report = diagnose(sol.state, cfg, (t, x))
+        rows.append(ConvergenceRow(
+            int(cfg.n_gamma), cfg.dgamma, *(getattr(report, name) for name in measures)
+        ))
+    return ConvergenceTable(rows=tuple(rows))
 
 
 def convergence_study(
@@ -375,8 +382,8 @@ def convergence_study(
         raise ValueError("n_list must be strictly ascending")
 
     oracle = solve_geodesic_ode(cfg, _STUDY_TOL)
-    rows = [_row_from_solution(c, solve(c, opts), oracle, c.gamma_grid) for c in cfgs]
-    return ConvergenceTable(rows=tuple(rows))
+    runs = [(c, solve(c, opts)) for c in cfgs]
+    return _table(runs, oracle, [c.gamma_grid for c in cfgs])
 
 
 def scaled_tdot_study(
@@ -403,8 +410,5 @@ def scaled_tdot_study(
     span = max(c.tdot_i for c in cfgs) * (cfg.gamma_f - cfg.gamma_i)
     stretched = replace(cfg, tdot_i=1.0, xdot_i=cfg.v_init, gamma_f=cfg.gamma_i + span)
     oracle = solve_geodesic_ode(stretched, _STUDY_TOL)
-    rows = []
-    for c, sol in runs:
-        gamma = c.gamma_i + c.tdot_i * (c.gamma_grid - c.gamma_i)
-        rows.append(_row_from_solution(c, sol, oracle, gamma))
-    return ConvergenceTable(rows=tuple(rows))
+    gammas = [c.gamma_i + c.tdot_i * (c.gamma_grid - c.gamma_i) for c in cfgs]
+    return _table(runs, oracle, gammas)

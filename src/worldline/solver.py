@@ -38,6 +38,7 @@ converged.  A line search that finds no step length down to
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,19 +176,22 @@ def _geodesic_seed(cfg: ProblemConfig) -> StateVector:
     """
     steps = seed_steps(cfg)
     h = (cfg.gamma_f - cfg.gamma_i) / steps
-    nodes = [[float(v) for v in (cfg.t_i, cfg.tdot_i, cfg.x_i, cfg.xdot_i)]]
+    half, sixth, rhs = 0.5 * h, h / 6.0, geodesic_rhs(cfg)
+    t, td, x, xd = cfg.t_i, cfg.tdot_i, cfg.x_i, cfg.xdot_i
+    pieces = array("d")  # per step: its start (t, x), chord and Hermite terms a, b
     for k in range(1, steps + 1):
-        y = nodes[-1]
         try:
-            k1 = geodesic_rhs(y, cfg)
-            k2 = geodesic_rhs([u + 0.5 * h * v for u, v in zip(y, k1)], cfg)
-            k3 = geodesic_rhs([u + 0.5 * h * v for u, v in zip(y, k2)], cfg)
-            k4 = geodesic_rhs([u + h * v for u, v in zip(y, k3)], cfg)
-            y = [
-                u + h / 6.0 * (a + 2.0 * (b + c) + d)
-                for u, a, b, c, d in zip(y, k1, k2, k3, k4)
-            ]
-            horizon = metric_g00(y[2], cfg) <= 0
+            a0, a1, a2, a3 = rhs((t, td, x, xd))
+            b0, b1, b2, b3 = rhs((t + half * a0, td + half * a1, x + half * a2, xd + half * a3))
+            c0, c1, c2, c3 = rhs((t + half * b0, td + half * b1, x + half * b2, xd + half * b3))
+            d0, d1, d2, d3 = rhs((t + h * c0, td + h * c1, x + h * c2, xd + h * c3))
+            end = (
+                t + sixth * (a0 + 2.0 * (b0 + c0) + d0),
+                td + sixth * (a1 + 2.0 * (b1 + c1) + d1),
+                x + sixth * (a2 + 2.0 * (b2 + c2) + d2),
+                xd + sixth * (a3 + 2.0 * (b3 + c3) + d3),
+            )
+            horizon = metric_g00(end[2], cfg) <= 0
         except OverflowError:
             return initial_guess(cfg)
         except ZeroDivisionError:  # g00 = 0 at a stage
@@ -195,18 +199,17 @@ def _geodesic_seed(cfg: ProblemConfig) -> StateVector:
         if horizon:
             gamma = cfg.gamma_i + k * h
             raise StepFailure(f"the trajectory reaches g00 <= 0 near gamma = {gamma:.3g}")
-        if not all(map(math.isfinite, y)):
+        if not all(map(math.isfinite, end)):
             return initial_guess(cfg)
-        nodes.append(y)
+        ct, cx = end[0] - t, end[2] - x
+        pieces.extend((t, x, ct, cx, h * td - ct, h * xd - cx, h * end[1] - ct, h * end[3] - cx))
+        t, td, x, xd = end
     # cubic Hermite on each step: the chord plus u (1 - u) ((1 - u) a - u b)
     s = np.arange(cfg.n_gamma) * (steps / (cfg.n_gamma - 1))
     j = np.minimum(s.astype(int), steps - 1)
     u = (s - j)[:, None]
-    path = np.array(nodes)
-    p, q = path[j], path[j + 1]
-    chord = q[:, ::2] - p[:, ::2]
-    a, b = h * p[:, 1::2] - chord, h * q[:, 1::2] - chord
-    tx = p[:, ::2] + u * (chord + (1.0 - u) * ((1.0 - u) * a - u * b))
+    p, chord, a, b = np.reshape(pieces, (steps, 4, 2))[j].transpose(1, 0, 2)
+    tx = p + u * (chord + (1.0 - u) * ((1.0 - u) * a - u * b))
     return _lift(np.append(tx, np.zeros(4)))
 
 

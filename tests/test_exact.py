@@ -5,7 +5,10 @@ entry rounded once.  Built from the rational tables with the penalty
 weight ``SIGMA0`` read from ``worldline.sbp``, the discrete equations for t
 at the physical limit give a charge (D t) o g00(x) equal to its initial
 value tdot_i g00(x_i) exactly at every grid point but the last, whatever x
-is.  Each case solves those equations in ``fractions.Fraction``.
+is.  Each case solves those equations in ``fractions.Fraction``.  At a
+float state, ``DiscreteAction.gradient``'s t rows match the exact rows,
+built from the rational tables with the paper's sigma0 = -1, within a few
+ulps times their condition.
 """
 
 import itertools
@@ -97,6 +100,11 @@ POTENTIALS = {  # V(x) with rational coefficients
     "linear": lambda x: F(1, 4) * x,
     "quartic": lambda x: F(1, 2) * x ** 4,
 }
+FLOAT_POTENTIALS = {  # the same, as the code's potentials
+    "free": wl.free_potential(),
+    "linear": wl.linear_potential(0.25),
+    "quartic": wl.quartic_potential(0.5),
+}
 
 
 @pytest.mark.parametrize("order", sorted(RATIONAL))
@@ -139,3 +147,53 @@ def test_interior_charge_is_exact_at_every_x(order):
             want = tdot_i * g00[0]
             bad = [i for i in range(n - 1) if charge[i] != want]
             assert bad == [], (order, n, potential, x, bad)
+
+
+# the penalty weight of the paper, written here and not read from worldline.sbp
+SIGMA0_EXACT = F(-1)
+# measured: the float t rows lie within 1.01 eps * cond of the exact ones over
+# the cases below, and within 1.25 eps * cond over six other draws
+ULPS = 8
+
+
+@pytest.mark.parametrize("order", sorted(RATIONAL))
+def test_gradient_t_rows_match_the_exact_rows(order):
+    # At a rational state rounded to float64, DiscreteAction.gradient's t rows
+    #   lam_1 e_0 + lam_2 D^T e_0 + lam_5 e_{n-1} + lam_7 D^T e_{n-1}
+    #     + M^T diag(g00 h) (M t + s)
+    # equal the exact rows, computed in Fractions at the same floats from the
+    # rational tables, within ULPS eps times the row's condition (the same
+    # sum over absolute values).  A changed closure entry, SIGMA0 or
+    # constraint row of the code moves them by far more.
+    rng = np.random.default_rng(29)
+    eps = np.finfo(float).eps
+    for n in (MIN_POINTS[order], 2 * MIN_POINTS[order] - 1, 23):
+        unit_d, unit_h = rational_operator(order, n)
+        dgamma = F(1, n - 1)
+        d = [[v / dgamma for v in row] for row in unit_d]
+        h = [v * dgamma for v in unit_h]
+        for name, v in POTENTIALS.items():
+            potential = FLOAT_POTENTIALS[name]  # V = v on floats
+            cfg = wl.ProblemConfig(potential=potential, n_gamma=n, order=order, t_i=1 / 3)
+            t, x = (rng.integers(0, 75, n) / 37 for _ in range(2))
+            lam = rng.integers(1, 38, 8) * rng.choice([-1, 1], 8) / 37
+            got = wl.DiscreteAction(cfg).gradient(t, x, lam)[4::2]
+            t_q, x_q, lam_q = ([F(u) for u in a] for a in (t, x, lam))
+            m = [row[:] for row in d]
+            m[0][0] -= SIGMA0_EXACT / h[0]
+            shift = [SIGMA0_EXACT * F(cfg.t_i) / h[0]] + [F(0)] * (n - 1)
+            weight = [(1 + 2 * v(xk)) * hk for xk, hk in zip(x_q, h)]  # g00 h, c = m = 1
+            wt = [sum(mkj * tj for mkj, tj in zip(row, t_q)) + sk for row, sk in zip(m, shift)]
+            wt_abs = [
+                sum(abs(mkj * tj) for mkj, tj in zip(row, t_q)) + abs(sk)
+                for row, sk in zip(m, shift)
+            ]
+            for i in range(n):
+                terms = [lam_q[1] * d[0][i], lam_q[6] * d[n - 1][i]]
+                terms += [lam_q[0] * (i == 0), lam_q[4] * (i == n - 1)]
+                terms += [m[k][i] * weight[k] * wt[k] for k in range(n)]
+                cond = sum(map(abs, terms[:4])) + sum(
+                    abs(m[k][i] * weight[k]) * wt_abs[k] for k in range(n)
+                )
+                err = abs(F(float(got[i])) - sum(terms))
+                assert err <= ULPS * eps * cond, (order, n, name, i, float(err / (eps * cond)))

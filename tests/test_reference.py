@@ -64,8 +64,9 @@ def _tight_geodesic(cfg):
     # an independent, much tighter and step-capped run of the same system
     span = (cfg.gamma_i, cfg.gamma_f)
     y0 = (cfg.t_i, cfg.tdot_i, cfg.x_i, cfg.xdot_i)
+    rhs = geodesic_rhs(cfg)
     return solve_ivp(
-        lambda _g, y: geodesic_rhs(y, cfg), span, y0, method="DOP853",
+        lambda _g, y: rhs(y), span, y0, method="DOP853",
         rtol=2.5e-14, atol=1e-15, max_step=(span[1] - span[0]) / 4096, dense_output=True,
     )
 
@@ -127,8 +128,9 @@ def test_oracles_follow_scipys_dop853(cfg_fixture, request):
     for c, c_tol in cases:
         geo = wl.solve_geodesic_ode(c, c_tol)
         y0 = (c.t_i, c.tdot_i, c.x_i, c.xdot_i)
+        rhs = geodesic_rhs(c)
         _assert_follows_scipy(
-            (geo.t, geo.x), geo.gamma_samples, lambda _g, y: geodesic_rhs(y, c),
+            (geo.t, geo.x), geo.gamma_samples, lambda _g, y: rhs(y),
             (c.gamma_i, c.gamma_f), y0, c_tol, (0, 2),
         )
 
@@ -210,6 +212,8 @@ _INVERTED_QUARTIC = wl.ProblemConfig(
 _LIGHT_SPEED = wl.ProblemConfig(
     potential=wl.linear_potential(-100.0), n_gamma=8, x_i=0.0, xdot_i=0.0
 )
+# a well whose x ** 300 overflows a float past x = 10.23, which a trial step reaches
+_STEEP_WELL = wl.custom_potential(v=lambda x: -1e-302 * x ** 300, dv=lambda x: -3e-300 * x ** 299)
 
 # one oracle run each, of the quartic setup unless named otherwise
 _ORACLE_RUNS = {
@@ -228,22 +232,65 @@ _ORACLE_RUNS = {
     "collapse-numpy-fallback": lambda cfg: wl.solve_geodesic_ode(
         replace(cfg, n_gamma=8, x_i=1e78), 1e-10
     ),
+    "trial-step-numpy-retry": lambda cfg: wl.solve_geodesic_ode(
+        replace(cfg, potential=_STEEP_WELL, x_i=10.2, xdot_i=0.0, gamma_f=0.2), 1e-10
+    ),
 }
 
+_TRIAL, _RAISED = "a trial step starts", "the call raised"
 
-def _run_recorded(stepper, rhs, args):
-    """Run a stepper, recording every state the right-hand side is given."""
-    calls = []
+
+def _run_recorded(stepper, rhs, args, calls):
+    """Run a stepper, appending to calls every state the right-hand side is given.
+
+    A call that raises OverflowError or ZeroDivisionError is followed by _RAISED.
+    """
 
     def recorded(y):
         calls.append(np.array(y, dtype=float))
-        return rhs(y)
+        try:
+            return rhs(y)
+        except (OverflowError, ZeroDivisionError):
+            calls.append(_RAISED)
+            raise
 
     try:
         ts, ys, dense, crossed = stepper(recorded, *args)
     except wl.StiffnessSuspected as exc:
-        return str(exc), calls
-    return (ts, ys, dense(np.linspace(*args[0], 301)), crossed), calls
+        return str(exc)
+    return ts, ys, dense(np.linspace(*args[0], 301)), crossed
+
+
+def _per_stage_fallback(rhs):
+    # the retry of the stepper before it took whole trial steps again: a
+    # stage whose floats raise is evaluated once more on numpy scalars
+    def fallback(y):
+        try:
+            return rhs(y)
+        except (OverflowError, ZeroDivisionError):
+            return rhs(np.array(y))
+
+    return fallback
+
+
+def _retries_merged(calls):
+    """The calls, less each attempt that raised, checked to open its retry bit for bit.
+
+    An attempt is the first rhs(y0) or a trial step (each starts at _TRIAL).
+    """
+    kept, start, attempt, raised = [], 0, [], 0
+    for call in calls:
+        if call is _TRIAL:
+            start = len(kept)
+        elif call is _RAISED:
+            assert not attempt  # a retry does not raise
+            attempt, kept[start:], raised = kept[start:], [], raised + 1
+        else:
+            if attempt:  # the retry repeats the raising attempt's states so far
+                assert _bits([call]) == _bits([attempt.pop(0)])
+            kept.append(call)
+    assert not attempt
+    return kept, raised
 
 
 def _bits(arrays):
@@ -264,19 +311,32 @@ def test_generated_sums_step_as_the_tableau_loop(case, quartic_cfg, monkeypatch)
         _ORACLE_RUNS[case](quartic_cfg)
     assert len(captured) == 1
     rhs, *args = captured[0]
-    got, got_calls = _run_recorded(generated, rhs, args)
-    want, want_calls = _run_recorded(_loop_dop853, rhs, args)
+    got_calls, want_calls, trial_step = [], [], reference._trial_step
+
+    def marked(dim):
+        def step(*step_args):
+            got_calls.append(_TRIAL)
+            return trial_step(dim)(*step_args)
+
+        return step
+
+    monkeypatch.setattr(reference, "_trial_step", marked)
+    got = _run_recorded(generated, rhs, args, got_calls)
+    want = _run_recorded(_loop_dop853, _per_stage_fallback(rhs), args, want_calls)
+    merged, raised = _retries_merged(got_calls)
+    assert raised == (case in ("collapse-numpy-fallback", "trial-step-numpy-retry"))
     # the same trial steps, so the same rejections, on the same states: bit
     # for bit, down to the sign of zeros and the nans of overshooting stages
-    assert _bits(got_calls) == _bits(want_calls)
+    assert _bits(merged) == _bits(want_calls)
     if case.startswith("collapse"):
         assert got == want and want.startswith("Required step size")
         return
     assert _bits(got[:3]) == _bits(want[:3])  # step points, states, dense values
     assert got[3] == want[3] == (case == "physical-light-speed-stop")
-    if case in ("stretched", "physical-nan-stages"):  # runs that reject steps
-        # 2 calls before the first step, 12 a trial step, 3 for the dense output
-        assert (len(got_calls) - 5) // 12 > len(got[0]) - 1
+    if case in ("stretched", "physical-nan-stages", "trial-step-numpy-retry"):
+        # runs that reject steps: 2 calls before the first step, 12 a trial
+        # step, 3 for the dense output
+        assert (len(merged) - 5) // 12 > len(got[0]) - 1
 
 
 def _exactly(got, want):

@@ -7,7 +7,7 @@ import pytest
 import worldline as wl
 from worldline.action import BandedHessian
 from worldline.diagnostics import interior_slice
-from worldline.solver import _SQRT_EPS, _lift, seed_steps
+from worldline.solver import _SQRT_EPS, _geodesic_seed, _lift, seed_steps
 from conftest import STALLING_CONFIG, constraints, doubled_gradient, pack, physical_limit_indices
 
 FAMILIES = pytest.mark.parametrize("order", ["sbp21", "sbp42"])
@@ -350,6 +350,24 @@ def test_window_overflowing_the_seed_count_is_refused_at_the_cap():
     for call in (lambda: seed_steps(cfg), lambda: wl.solve(cfg), *studies):
         with pytest.raises(wl.StepFailure, match="window too long: .* 100000 RK4 sub-steps"):
             call()
+
+
+def test_seed_reaching_g00_zero_raises_step_failure():
+    # V = -c^2 m / 2 makes g00 = 0 everywhere: the seed's first stage divides
+    # 0.0 by 0.0, which must end the solve, not yield a nan seed
+    horizon = wl.custom_potential(v=lambda x: -0.5 + 0.0 * x, dv=lambda x: 0.0 * x)
+    cfg = wl.ProblemConfig(potential=horizon, n_gamma=16)
+    with pytest.raises(wl.StepFailure, match="the trajectory reaches g00 <= 0 near gamma"):
+        wl.solve(cfg)
+
+
+def test_seed_overflowing_a_float_is_the_straight_line():
+    # 10.0 ** 400 raises OverflowError on the seed's first stage
+    steep = wl.custom_potential(v=lambda x: x ** 400, dv=lambda x: 400.0 * x ** 399)
+    cfg = wl.ProblemConfig(potential=steep, n_gamma=16, x_i=10.0)
+    seed, line = _geodesic_seed(cfg), wl.initial_guess(cfg)
+    for name in ("t1", "t2", "x1", "x2", "lam"):
+        assert np.array_equal(getattr(seed, name), getattr(line, name)), name
 
 
 def test_each_band_is_freed_before_the_next_assembly(monkeypatch):
