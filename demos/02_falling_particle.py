@@ -20,8 +20,8 @@ print(f"converged in {sol.iterations} Newton iterations, "
       f"|grad| = {sol.grad_norm:.2e}")
 print(f"simulated time window: [{report.t[0]:.4f}, {report.t[-1]:.4f}] "
       f"(tdot_i = {cfg.tdot_i} makes it land near 1)")
-print(f"branch coincidence (physical limit): "
-      f"{np.max(np.abs(sol.state.t1 - sol.state.t2)):.1e}")
+print(f"connecting multiplier lam_5 = {sol.state.lam[0]:.6f} "
+      f"(minus the conserved charge below)")
 print()
 
 print("conserved charge of time translations, Q_t = (Dt) o g00(x):")

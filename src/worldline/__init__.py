@@ -13,7 +13,7 @@ from .action import (
     InvalidConfig,
     Potential,
     ProblemConfig,
-    StateVector,
+    State,
     custom_potential,
     free_potential,
     linear_potential,

@@ -25,14 +25,15 @@ entries, so no n x n matrix is formed.
 
 The answer lies on the physical limit t2 = t1, x2 = x1, lam_1..lam_4 = 0,
 where branch 2's gradient rows are -(branch 1's) and the lam_5..lam_8 rows
-vanish.  So only branch 1 is evaluated.  ``gradient(t, x, lam)`` is
-R grad E: rows lam_1..lam_4, then (t1, x1) point by point.  The only
-Hessian built is R H P, with those rows and the columns (t1, x1) point by
-point, then lam_5..lam_8.  It has no branch-2 column, so ``hessian(t, x)``
-assembles it from branch 1 alone into LAPACK band storage (kl/ku = 8/2 for
-sbp21, 14/6 for sbp42), which ``BandedHessian.solve`` factors in place
-with ``dgbsv``, in O(n).  Which band slot each term fills depends on the
-grid alone: one pattern per grid is cached, within a byte budget.
+vanish.  So only that limit is held and evaluated: a ``State`` is (t, x)
+with lam_5..lam_8, and ``gradient(t, x, lam)`` is R grad E: rows
+lam_1..lam_4, then (t, x) point by point.  The only Hessian built is
+R H P, with those rows and the columns (t, x) point by point, then
+lam_5..lam_8.  ``hessian(t, x)`` assembles it into LAPACK band storage
+(kl/ku = 8/2 for sbp21, 14/6 for sbp42), which ``BandedHessian.solve``
+factors in place with ``dgbsv``, in O(n).  Which band slot each term fills
+depends on the grid alone: one pattern per grid is cached, within a byte
+budget.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ __all__ = [
     "quartic_potential",
     "custom_potential",
     "ProblemConfig",
-    "StateVector",
+    "State",
     "BandedHessian",
     "DiscreteAction",
     "metric_g00",
@@ -99,20 +100,15 @@ def free_potential() -> Potential:
     return Potential(v=zero, dv=zero, d2v=zero, label="free")
 
 
-def _require_finite(name: str, value) -> None:
+def _finite_coefficient(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidConfig(f"{name} must be a real number, got {value!r}")
     try:
         if math.isfinite(value):
-            return
+            return float(value)
     except OverflowError:
         value = "an integer too large for a float"
     raise InvalidConfig(f"{name} must be finite, got {value}")
-
-
-def _finite_coefficient(name: str, value) -> float:
-    _require_finite(name, value)
-    return float(value)
 
 
 def linear_potential(alpha: float) -> Potential:
@@ -279,32 +275,28 @@ class ProblemConfig:
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Unknowns of the discrete variational problem.
+class State:
+    """Unknowns on the physical limit: t and x at each grid point, and lam_5..lam_8.
 
-    Four coordinate vectors of length n plus eight multipliers.
+    ``t`` and ``x`` are 1-D of one length; ``lam`` holds the four
+    multipliers of the conditions that join the branches at the last point.
     """
 
-    t1: np.ndarray
-    t2: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
+    t: np.ndarray
+    x: np.ndarray
     lam: np.ndarray
 
     def __post_init__(self):
-        for name in ("t1", "t2", "x1", "x2", "lam"):
-            object.__setattr__(
-                self, name, np.asarray(getattr(self, name), dtype=float)
-            )
-        n = self.t1.shape
-        if not (self.t2.shape == self.x1.shape == self.x2.shape == n):
-            raise ValueError("coordinate vectors must share one length")
-        if self.lam.shape != (8,):
-            raise ValueError("exactly eight Lagrange multipliers are required")
+        for name in ("t", "x", "lam"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.t.ndim != 1 or self.x.shape != self.t.shape:
+            raise ValueError("t and x must be 1-D arrays of one length")
+        if self.lam.shape != (4,):
+            raise ValueError("exactly four Lagrange multipliers (lam_5..lam_8) are required")
 
     @property
     def n(self) -> int:
-        return self.t1.shape[0]
+        return self.t.shape[0]
 
 
 # The metric and its x-derivatives, elementwise on a float or a float array x.
@@ -349,8 +341,8 @@ class BandedHessian:
     Entry (i, j) sits at ``ab[kl + ku + i - j, j]``; the first ``kl`` rows
     are the room ``dgbsv`` needs for the fill-in of partial pivoting, and
     ``ab`` is column-major, so ``solve`` factors it in place (``lu`` keeps
-    the factors for ``resolve``).  Rows are lam_1..lam_4, then (t1, x1)
-    point by point; columns are (t1, x1) point by point, then lam_5..lam_8.
+    the factors for ``resolve``).  Rows are lam_1..lam_4, then (t, x)
+    point by point; columns are (t, x) point by point, then lam_5..lam_8.
     """
 
     ab: np.ndarray
@@ -441,13 +433,13 @@ class DiscreteAction:
         A term contributes coefficient * weight to its slot of the band.
         """
         n = self.n
-        jac1 = np.zeros((8, n, 2))  # constraint, grid point, t1 or x1
+        jac1 = np.zeros((8, n, 2))  # constraint, grid point, t or x
         jac1[0, 0, 0] = jac1[2, 0, 1] = jac1[4, -1, 0] = jac1[5, -1, 1] = 1.0
         # rows 0 and n-1 of D, as D^T e_0 and D^T e_{n-1}: lam_2, lam_4 and lam_7, lam_8
         ends = [self.op.apply_t(np.eye(1, n, k)[0]) for k in (0, n - 1)]
         jac1[[1, 6], :, 0] = jac1[[3, 7], :, 1] = ends
-        jac1 = jac1.reshape(8, 2 * n)  # (t1, x1) point by point
-        # columns of t1 and x1; their rows lie 4 further down, below lam_1..lam_4
+        jac1 = jac1.reshape(8, 2 * n)  # (t, x) point by point
+        # columns of t and x; their rows lie 4 further down, below lam_1..lam_4
         t, x = 2 * np.arange(n), 2 * np.arange(n) + 1
         const = 3 * n
 
@@ -469,7 +461,7 @@ class DiscreteAction:
             (4 + x[k], t[i], m, n + k),
         ]
 
-        # the constraint Jacobian on (t1, x1): rows lam_1..lam_4 of R H P,
+        # the constraint Jacobian on (t, x): rows lam_1..lam_4 of R H P,
         # and its columns lam_5..lam_8 transposed
         r, c = np.nonzero(jac1[:4])
         terms.append((r, c, jac1[r, c], np.full(r.size, const)))
@@ -494,14 +486,14 @@ class DiscreteAction:
                 )
 
     def gradient(self, t, x, lam) -> np.ndarray:
-        """Branch 1's rows of grad E at t1 = t, x1 = x: lam_1..lam_4, then (t1, x1).
+        """R grad E at (t, x) and lam = lam_5..lam_8: rows lam_1..lam_4, then (t, x).
 
-        At a lift (t2 = t1, x2 = x1, lam_1..lam_4 = 0) this is R grad E, and
+        These are branch 1's rows of grad E at the physical limit, and
         ||grad E||^2 = ||r[:4]||^2 + 2 ||r[4:]||^2.
         """
         self._check(t, x)
-        if np.shape(lam) != (8,):
-            raise ValueError("exactly eight Lagrange multipliers are required")
+        if np.shape(lam) != (4,):
+            raise ValueError("exactly four Lagrange multipliers (lam_5..lam_8) are required")
         cfg, d_first = self.cfg, self._jac1[1, ::2]  # row 0 of D
         wt = self.reg_t.apply(t)
         wx = self.reg_x.apply(x)
@@ -514,13 +506,13 @@ class DiscreteAction:
             x[0] - cfg.x_i,
             d_first @ x - cfg.xdot_i,
         ]
-        r[4:] = lam @ self._jac1
+        r[4:] = lam @ self._jac1[4:]
         r[4::2] += self.reg_t.apply_t(g00 * self.h * wt)
         r[5::2] += 0.5 * gp * self.h * wt * wt - self.reg_x.apply_t(self.h * wx)
         return r
 
     def hessian(self, t, x) -> BandedHessian:
-        """R H P at t1 = t, x1 = x; the multiplier entries are constants."""
+        """R H P at (t, x); the multiplier entries are constants."""
         self._check(t, x)
         wt = self.reg_t.apply(t)
         weights = [

@@ -224,7 +224,8 @@ def cmd_solve(args) -> int:
         print(f"worldline solve: {exc}", file=sys.stderr)
         return 2
 
-    # every state solve returns, converged or not, lies on the physical limit
+    # t2, x2 and lam_1..lam_4 keep the doubled format: on the physical limit
+    # they are t, x and 0
     state = sol.state
     report = diagnose(state, cfg)
     summary = {
@@ -232,15 +233,15 @@ def cmd_solve(args) -> int:
         "termination": sol.termination,
         "grad_norm": sol.grad_norm,
         "iterations": sol.iterations,
-        "t_final": float(state.t1[-1]),
+        "t_final": float(state.t[-1]),
         "tdot_final": float(report.time_mesh_velocity[-1]),
         "delta_e_end": report.delta_e_end,
         "max_interior_delta_e": report.max_interior_delta_e,
-        "lambda": [float(v) for v in state.lam],
+        "lambda": [0.0] * 4 + [float(v) for v in state.lam],
     }
     files = {
         "trajectory.csv": _table(
-            _TRAJECTORY_HEADER, (sol.gamma, state.t1, state.t2, state.x1, state.x2)
+            _TRAJECTORY_HEADER, (sol.gamma, state.t, state.t, state.x, state.x)
         ),
         "diagnostics.csv": _table(
             _DIAGNOSTICS_HEADER,

@@ -9,14 +9,14 @@ Newton starts from the geodesic, the scheme's continuum limit: one coarse RK4
 pass over the window, Hermite-interpolated onto the grid.  A seed reaching the
 horizon g00 <= 0 ends the solve with ``StepFailure``.
 
-Newton iterates on y = ((t1, x1) point by point, lam_5..lam_8), the 2n + 4
-unknowns of the physical limit t2 = t1, x2 = x1, lam_1..lam_4 = 0.  There
-branch 2's rows of grad E are -(branch 1's) and the lam_5..lam_8 rows vanish,
-so one branch-1 kernel, ``DiscreteAction.gradient``, gives r = R grad E at
-each trial point, and ||grad E||^2 = ||r_lam||^2 + 2 ||r_coord||^2.  Each
-step solves R H P dy = -r: ``DiscreteAction.hessian`` assembles the one
-Hessian from y's (t1, x1), and its ``solve`` runs the band LU in O(n).  y is
-lifted to a ``StateVector`` only for the seed and the returned ``Solution``.
+Newton iterates on y = ((t, x) point by point, lam_5..lam_8), the 2n + 4
+unknowns of the physical limit t2 = t1, x2 = x1, lam_1..lam_4 = 0, which a
+``State`` holds.  There branch 2's rows of grad E are -(branch 1's) and the
+lam_5..lam_8 rows vanish, so one kernel, ``DiscreteAction.gradient``, gives
+r = R grad E at each trial point, and ||grad E||^2 = ||r_lam||^2 +
+2 ||r_coord||^2.  Each step solves R H P dy = -r: ``DiscreteAction.hessian``
+assembles the one Hessian from y's (t, x), and its ``solve`` runs the band
+LU in O(n).
 A gradient or Hessian that is not finite, or a singular factorisation, ends
 the solve with ``SingularSystem``.
 
@@ -47,7 +47,7 @@ from .action import (
     DiscreteAction,
     InvalidConfig,
     ProblemConfig,
-    StateVector,
+    State,
     geodesic_rhs,
     metric_g00,
 )
@@ -139,7 +139,7 @@ class Solution:
     accepted step lowers the merit, it is also the best one.
     """
 
-    state: StateVector
+    state: State
     gamma: np.ndarray
     grad_norm: float
     iterations: int
@@ -148,12 +148,12 @@ class Solution:
     termination: str = "converged"
 
 
-def initial_guess(cfg: ProblemConfig) -> StateVector:
-    """Straight-line guess matching the initial data on both branches."""
+def initial_guess(cfg: ProblemConfig) -> State:
+    """Straight-line guess matching the initial data."""
     gamma = cfg.gamma_grid - cfg.gamma_i
     t = cfg.t_i + cfg.tdot_i * gamma
     x = cfg.x_i + cfg.xdot_i * gamma
-    return StateVector(t1=t, t2=t.copy(), x1=x, x2=x.copy(), lam=np.zeros(8))
+    return State(t=t, x=x, lam=np.zeros(4))
 
 
 def seed_steps(cfg: ProblemConfig) -> int:
@@ -166,7 +166,7 @@ def seed_steps(cfg: ProblemConfig) -> int:
     return max(8, math.ceil(span))
 
 
-def _geodesic_seed(cfg: ProblemConfig) -> StateVector:
+def _geodesic_seed(cfg: ProblemConfig) -> State:
     """Newton guess: a coarse RK4 geodesic, Hermite-interpolated onto the grid.
 
     K = max(8, ceil(4 tdot_i (gamma_f - gamma_i))) steps (``seed_steps``) on
@@ -210,13 +210,7 @@ def _geodesic_seed(cfg: ProblemConfig) -> StateVector:
     u = (s - j)[:, None]
     p, chord, a, b = np.reshape(pieces, (steps, 4, 2))[j].transpose(1, 0, 2)
     tx = p + u * (chord + (1.0 - u) * ((1.0 - u) * a - u * b))
-    return _lift(np.append(tx, np.zeros(4)))
-
-
-def _lift(y: np.ndarray) -> StateVector:
-    """The state t2 = t1, x2 = x1, lam_1..lam_4 = 0 of the unknowns ``y``."""
-    t, x, lam = y[:-4:2], y[1:-4:2], np.append(np.zeros(4), y[-4:])
-    return StateVector(t1=t, t2=t.copy(), x1=x, x2=x.copy(), lam=lam)
+    return State(t=tx[:, 0], x=tx[:, 1], lam=np.zeros(4))
 
 
 # Overflow and NaN are handled explicitly: the line search rejects a
@@ -226,13 +220,11 @@ def solve(
     cfg: ProblemConfig,
     opts: SolveOptions | None = None,
     *,
-    guess: StateVector | None = None,
+    guess: State | None = None,
 ) -> Solution:
     """Find the critical point of the discrete action for ``cfg``.
 
-    Newton starts from ``guess``, by default the geodesic seed, and reads
-    only its t1, x1 and lam_5..lam_8: it returns the same state as the
-    guess's projection (t2 := t1, x2 := x1, lam_1..lam_4 := 0).  Raises
+    Newton starts from ``guess``, by default the geodesic seed.  Raises
     StepFailure when the seed reaches g00 <= 0 or needs too many steps,
     NonConvergence when the iteration cap is hit or a line search stalls
     (the exception carries the last iterate), and SingularSystem when the
@@ -245,11 +237,11 @@ def solve(
         raise InvalidConfig("guess does not match the configured grid")
     action = DiscreteAction(cfg)
     y = np.empty(2 * n + 4)
-    y[:-4:2], y[1:-4:2], y[-4:] = s.t1, s.x1, s.lam[4:]
+    y[:-4:2], y[1:-4:2], y[-4:] = s.t, s.x, s.lam
 
     def gradient(y):
-        """R grad E at the lift of y, and the doubled system's ||grad E||."""
-        r = action.gradient(y[:-4:2], y[1:-4:2], np.append(np.zeros(4), y[-4:]))
+        """R grad E at y, and the doubled system's ||grad E||."""
+        r = action.gradient(y[:-4:2], y[1:-4:2], y[-4:])
         return r, math.sqrt(r[:4] @ r[:4] + 2.0 * (r[4:] @ r[4:]))
 
     r, grad_norm = gradient(y)
@@ -259,7 +251,7 @@ def solve(
 
     def result(y, grad_norm, iterations, converged, termination="converged"):
         return Solution(
-            state=_lift(y),
+            state=State(t=y[:-4:2], x=y[1:-4:2], lam=y[-4:]),
             gamma=cfg.gamma_grid,
             grad_norm=grad_norm,
             iterations=iterations,
@@ -325,13 +317,13 @@ def continuation_solve(
 ) -> Solution:
     """Solve with a warm start interpolated from an earlier solution.
 
-    Branch 1's coordinates are linearly interpolated in gamma onto the new
-    grid (``solve`` projects onto the physical limit); the multipliers are
-    carried over unchanged.  Without ``from_solution`` it is a cold solve.
+    t and x are linearly interpolated in gamma onto the new grid; the
+    multipliers are carried over unchanged.  Without ``from_solution`` it
+    is a cold solve.
     """
     if from_solution is None:
         return solve(cfg, opts)
     prev, old_gamma = from_solution.state, from_solution.gamma
-    t = np.interp(cfg.gamma_grid, old_gamma, prev.t1)
-    x = np.interp(cfg.gamma_grid, old_gamma, prev.x1)
-    return solve(cfg, opts, guess=StateVector(t1=t, t2=t, x1=x, x2=x, lam=prev.lam))
+    t = np.interp(cfg.gamma_grid, old_gamma, prev.t)
+    x = np.interp(cfg.gamma_grid, old_gamma, prev.x)
+    return solve(cfg, opts, guess=State(t=t, x=x, lam=prev.lam))

@@ -1,5 +1,7 @@
 """Shared fixtures and finite-difference oracles for the test suite."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -32,9 +34,46 @@ STALLING_CONFIG = {
 }
 
 
-# The doubled action, the test-side reference: the program evaluates only
-# branch 1 (``DiscreteAction.gradient`` and ``hessian``) on the physical limit.
-# A state packs to the flat vector (t1, t2, x1, x2, lam) of length 4n + 8.
+# The doubled action, the test-side reference: the program holds only the
+# physical limit (``wl.State``) and evaluates only branch 1 there
+# (``DiscreteAction.gradient`` and ``hessian``).  A doubled state packs to
+# the flat vector (t1, t2, x1, x2, lam) of length 4n + 8.
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """A doubled state: four coordinate vectors of length n plus eight multipliers."""
+
+    t1: np.ndarray
+    t2: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    lam: np.ndarray
+
+    def __post_init__(self):
+        for name in ("t1", "t2", "x1", "x2", "lam"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        n = self.t1.shape
+        if not (self.t2.shape == self.x1.shape == self.x2.shape == n):
+            raise ValueError("coordinate vectors must share one length")
+        if self.lam.shape != (8,):
+            raise ValueError("exactly eight Lagrange multipliers are required")
+
+    @property
+    def n(self) -> int:
+        return self.t1.shape[0]
+
+
+def lift(s):
+    """The doubled state t2 = t1, x2 = x1, lam_1..lam_4 = 0 of a ``wl.State``.
+
+    ``s`` may also be Newton's flat unknowns ((t, x) point by point, lam_5..lam_8).
+    """
+    if not isinstance(s, wl.State):
+        s = wl.State(s[:-4:2], s[1:-4:2], s[-4:])
+    return StateVector(
+        t1=s.t, t2=s.t.copy(), x1=s.x, x2=s.x.copy(), lam=np.append(np.zeros(4), s.lam)
+    )
 
 
 def pack(s):
@@ -47,7 +86,7 @@ def unpack(z, n):
     z = np.asarray(z, dtype=float)
     if z.shape != (4 * n + 8,):
         raise ValueError(f"expected a packed vector of length {4 * n + 8}")
-    return wl.StateVector(
+    return StateVector(
         t1=z[:n], t2=z[n : 2 * n], x1=z[2 * n : 3 * n], x2=z[3 * n : 4 * n], lam=z[4 * n :]
     )
 
@@ -84,11 +123,17 @@ def doubled_value(action, s):
 
 
 def doubled_gradient(action, s):
-    """grad E in pack order; branch 2 meets lam_5..lam_8 only, with sign -1."""
-    r1 = action.gradient(s.t1, s.x1, s.lam)
-    r2 = -action.gradient(s.t2, s.x2, np.append(np.zeros(4), s.lam[4:]))
-    coord = (r1[4::2], r2[4::2], r1[5::2], r2[5::2])
-    return np.concatenate([*coord, constraints(action, s)])
+    """grad E in pack order.
+
+    Each branch's coordinate rows are ``gradient`` with lam_5..lam_8, branch
+    2's with sign -1; branch 1 adds the lam_1..lam_4 terms, from the dense
+    ``multiplier_block``.
+    """
+    r1 = action.gradient(s.t1, s.x1, s.lam[4:])
+    r2 = -action.gradient(s.t2, s.x2, s.lam[4:])
+    coord = np.concatenate([r1[4::2], r2[4::2], r1[5::2], r2[5::2]])
+    coord += s.lam[:4] @ multiplier_block(action.op)[:4]
+    return np.concatenate([coord, constraints(action, s)])
 
 
 def dense(band):

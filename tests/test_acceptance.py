@@ -18,6 +18,7 @@ from conftest import (
     doubled_hessian,
     fd_gradient,
     fd_hessian,
+    lift,
     pack,
     scaled_max_err,
     unpack,
@@ -117,7 +118,7 @@ def test_criterion_2_derivative_correctness():
         cfg = wl.ProblemConfig(potential=pot, n_gamma=8)
         action = wl.DiscreteAction(cfg)
         for _ in range(20):
-            z = pack(wl.initial_guess(cfg)) + 0.4 * rng.standard_normal(40)
+            z = pack(lift(wl.initial_guess(cfg))) + 0.4 * rng.standard_normal(40)
             s = unpack(z, 8)
             worst_grad = max(
                 worst_grad, scaled_max_err(doubled_gradient(action, s), fd_gradient(action, z, 8))
@@ -134,8 +135,8 @@ def test_criterion_3_free_particle_exactness(free_cfg, free_solution):
     line_t = gamma * free_cfg.tdot_i
     line_x = free_cfg.x_i + free_cfg.xdot_i * gamma
     traj_err = max(
-        float(np.max(np.abs(sol.state.t1 - line_t))),
-        float(np.max(np.abs(sol.state.x1 - line_x))),
+        float(np.max(np.abs(sol.state.t - line_t))),
+        float(np.max(np.abs(sol.state.x - line_x))),
     )
     report = wl.diagnose(sol.state, free_cfg)
     q_t, q_x, q_eta = report.q_t, report.q_x, report.q_boost
@@ -151,11 +152,11 @@ def test_criterion_3_free_particle_exactness(free_cfg, free_solution):
 
 
 def test_criterion_4_physical_limit(base_solutions, free_solution, free_cfg):
-    # the solver steps on the half-size system, so the branch gap and
-    # lam_1..lam_4 are 0 by construction; the doubled gradient tests the limit
+    # a solution holds only the physical limit, so at its lift the branch gap
+    # and lam_1..lam_4 are 0 by construction; the doubled gradient tests the limit
     gap = lam_14 = grad_ratio = 0.0
     for cfg, sol in list(base_solutions.values()) + [(free_cfg, free_solution)]:
-        s = sol.state
+        s = lift(sol.state)
         gap = max(gap, float(np.max(np.abs(s.t1 - s.t2))), float(np.max(np.abs(s.x1 - s.x2))))
         lam_14 = max(lam_14, float(np.max(np.abs(s.lam[:4]))))
         bound = wl.SolveOptions().grad_tol * (1.0 + np.max(np.abs(pack(s))))
@@ -201,8 +202,8 @@ def test_criterion_6_residual_support(base_solutions):
 
 def test_criterion_7_quartic_observables(base_solutions):
     cfg, sol = base_solutions[("quartic", "sbp21")]
-    t_final = float(sol.state.t1[-1])
-    dt_final = float((cfg.build_operator().d @ sol.state.t1)[-1])
+    t_final = float(sol.state.t[-1])
+    dt_final = float((cfg.build_operator().d @ sol.state.t)[-1])
     ok = abs(t_final - 1.47) <= 0.01 and abs(dt_final - 2.06) <= 0.03
     check(7, ok, f"t_final {t_final:.4f}, (Dt)[N] {dt_final:.4f}")
 

@@ -12,6 +12,7 @@ import pytest
 
 import worldline as wl
 from conftest import (
+    StateVector,
     constraints,
     dense,
     doubled_gradient,
@@ -19,6 +20,7 @@ from conftest import (
     doubled_value,
     fd_gradient,
     fd_hessian,
+    lift,
     multiplier_block,
     pack,
     scaled_max_err,
@@ -27,7 +29,7 @@ from conftest import (
 
 
 def random_state(cfg, rng, scale=0.3):
-    z = pack(wl.initial_guess(cfg))
+    z = pack(lift(wl.initial_guess(cfg)))
     z += scale * rng.standard_normal(z.size)
     return unpack(z, cfg.n_gamma)
 
@@ -143,14 +145,13 @@ def test_config_is_not_hashable(pot):
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        wl.StateVector(
-            t1=np.ones(4), t2=np.ones(5), x1=np.ones(4), x2=np.ones(4), lam=np.zeros(8)
-        )
-    with pytest.raises(ValueError):
-        wl.StateVector(
-            t1=np.ones(4), t2=np.ones(4), x1=np.ones(4), x2=np.ones(4), lam=np.zeros(7)
-        )
+    with pytest.raises(ValueError, match="1-D arrays of one length"):
+        wl.State(t=np.ones(4), x=np.ones(5), lam=np.zeros(4))
+    with pytest.raises(ValueError, match="1-D arrays of one length"):
+        wl.State(t=np.ones((2, 4)), x=np.ones((2, 4)), lam=np.zeros(4))
+    for lam in (np.zeros(3), np.zeros(8)):
+        with pytest.raises(ValueError, match="exactly four Lagrange multipliers"):
+            wl.State(t=np.ones(4), x=np.ones(4), lam=lam)
 
 
 # ---------------------------------------------------------------- action value
@@ -161,14 +162,14 @@ def test_value_zero_when_branches_coincide():
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=10)
     t = rng.standard_normal(10)
     x = rng.standard_normal(10)
-    s = wl.StateVector(t1=t, t2=t.copy(), x1=x, x2=x.copy(), lam=np.zeros(8))
+    s = StateVector(t1=t, t2=t.copy(), x1=x, x2=x.copy(), lam=np.zeros(8))
     assert doubled_value(wl.DiscreteAction(cfg), s) == 0.0
 
 
 def test_value_zero_on_free_exact_line():
     cfg = wl.ProblemConfig(potential=wl.free_potential(), n_gamma=16)
-    s = wl.initial_guess(cfg)
-    s = wl.StateVector(
+    s = lift(wl.initial_guess(cfg))
+    s = StateVector(
         t1=s.t1, t2=s.t2, x1=s.x1, x2=s.x2, lam=np.arange(8.0)
     )  # multipliers see exactly satisfied constraints
     assert abs(doubled_value(wl.DiscreteAction(cfg), s)) <= 1e-12
@@ -178,14 +179,14 @@ def test_gradient_and_hessian_refuse_a_wrong_length():
     cfg = wl.ProblemConfig(potential=wl.free_potential(), n_gamma=16)
     action = wl.DiscreteAction(cfg)
     s = wl.initial_guess(cfg)
-    for t, x, n in ((s.t1[:15], s.x1, 15), (s.t1, np.append(s.x1, 1.0), 17)):
+    for t, x, n in ((s.t[:15], s.x, 15), (s.t, np.append(s.x, 1.0), 17)):
         with pytest.raises(ValueError, match=f"has {n} grid points but the action expects 16"):
             action.gradient(t, x, s.lam)
         with pytest.raises(ValueError, match=f"has {n} grid points but the action expects 16"):
             action.hessian(t, x)
-    for lam in (np.zeros(4), np.zeros(9)):
-        with pytest.raises(ValueError, match="exactly eight Lagrange multipliers"):
-            action.gradient(s.t1, s.x1, lam)
+    for lam in (np.zeros(3), np.zeros(8)):
+        with pytest.raises(ValueError, match="exactly four Lagrange multipliers"):
+            action.gradient(s.t, s.x, lam)
 
 
 # ---------------------------------------------------------------- derivatives
@@ -253,7 +254,7 @@ def test_hessian_symmetric_and_matches_fd():
 def test_hessian_rejects_a_wrong_grid_length(delta, wrong):
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=16)
     s = wl.initial_guess(cfg)
-    coords = {"t": s.t1, "x": s.x1}
+    coords = {"t": s.t, "x": s.x}
     coords[wrong] = np.linspace(0.0, 1.0, 16 + delta)
     with pytest.raises(ValueError, match=f"has {16 + delta} grid points .* expects 16"):
         wl.DiscreteAction(cfg).hessian(coords["t"], coords["x"])
@@ -280,7 +281,7 @@ def test_free_line_gradient_structure():
     cfg = wl.ProblemConfig(potential=wl.free_potential(), n_gamma=16)
     action = wl.DiscreteAction(cfg)
     n = 16
-    s0 = wl.initial_guess(cfg)
+    s0 = lift(wl.initial_guess(cfg))
     g0 = doubled_gradient(action, s0)[: 4 * n].reshape(4, n)
     assert np.max(np.abs(g0[:, :-1])) <= 1e-12
     np.testing.assert_allclose(
@@ -291,7 +292,7 @@ def test_free_line_gradient_structure():
     lam = np.zeros(8)
     lam[4] = -cfg.c ** 2 * cfg.tdot_i
     lam[5] = cfg.xdot_i
-    s1 = wl.StateVector(t1=s0.t1, t2=s0.t2, x1=s0.x1, x2=s0.x2, lam=lam)
+    s1 = StateVector(t1=s0.t1, t2=s0.t2, x1=s0.x1, x2=s0.x2, lam=lam)
     assert np.max(np.abs(doubled_gradient(action, s1)[: 4 * n])) <= 1e-12
 
 
@@ -304,7 +305,7 @@ def test_time_translation_invariance():
     action = wl.DiscreteAction(cfg)
     s = random_state(cfg, rng)
     shift = 0.37
-    shifted = wl.StateVector(
+    shifted = StateVector(
         t1=s.t1 + shift, t2=s.t2 + shift, x1=s.x1, x2=s.x2, lam=s.lam
     )
     # shifting the trajectory together with the absorbed initial value and
@@ -325,7 +326,7 @@ def test_space_translation_invariance_free():
     action = wl.DiscreteAction(cfg)
     s = random_state(cfg, rng)
     shift = -0.58
-    shifted = wl.StateVector(
+    shifted = StateVector(
         t1=s.t1, t2=s.t2, x1=s.x1 + shift, x2=s.x2 + shift, lam=s.lam
     )
     consistent = wl.DiscreteAction(replace(cfg, x_i=cfg.x_i + shift))
@@ -336,8 +337,8 @@ def test_exchange_antisymmetry():
     rng = np.random.default_rng(12)
     cfg = wl.ProblemConfig(potential=wl.linear_potential(0.25), n_gamma=11)
     s = random_state(cfg, rng)
-    plain = wl.StateVector(t1=s.t1, t2=s.t2, x1=s.x1, x2=s.x2, lam=np.zeros(8))
-    swapped = wl.StateVector(t1=s.t2, t2=s.t1, x1=s.x2, x2=s.x1, lam=np.zeros(8))
+    plain = StateVector(t1=s.t1, t2=s.t2, x1=s.x1, x2=s.x2, lam=np.zeros(8))
+    swapped = StateVector(t1=s.t2, t2=s.t1, x1=s.x2, x2=s.x1, lam=np.zeros(8))
     action = wl.DiscreteAction(cfg)
     assert doubled_value(action, swapped) == pytest.approx(
         -doubled_value(action, plain), abs=1e-13
@@ -350,8 +351,8 @@ def test_large_grid_stores_only_linear_size_arrays(order):
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=n, order=order)
     action = wl.DiscreteAction(cfg)
     s = wl.initial_guess(cfg)
-    assert np.all(np.isfinite(doubled_gradient(action, s)))
-    hess = action.hessian(s.t1, s.x1)
+    assert np.all(np.isfinite(doubled_gradient(action, lift(s))))
+    hess = action.hessian(s.t, s.x)
     assert np.all(np.isfinite(hess.ab))
     assert (hess.kl, hess.ku) == {"sbp21": (8, 2), "sbp42": (14, 6)}[order]
     # the largest are R H P's per-term arrays, 40.99 n entries for sbp42 (the
@@ -488,7 +489,7 @@ _SOLVE = textwrap.dedent("""
         import scipy.linalg
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=64, order="sbp42")
     sol = wl.solve(cfg)
-    state = np.concatenate([sol.state.t1, sol.state.x1, sol.state.lam])
+    state = np.concatenate([sol.state.t, sol.state.x, sol.state.lam])
     got = {"state": hashlib.sha256(state.tobytes()).hexdigest()}
     got["scipy"] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 """)
@@ -501,7 +502,7 @@ def test_scipy_linalg_imported_after_a_solve_shares_its_band_solver():
 
         got["has_flapack"] = hasattr(scipy.linalg, "_flapack")
         got["same_function"] = lapack.dgbsv is _flapack().dgbsv
-        band = wl.DiscreteAction(cfg).hessian(sol.state.t1, sol.state.x1)
+        band = wl.DiscreteAction(cfg).hessian(sol.state.t, sol.state.x)
         r = np.random.default_rng(5).standard_normal(band.ab.shape[1])
         ours, scipys = (
             f(band.kl, band.ku, band.ab.copy(order="F"), r.copy())
@@ -563,7 +564,7 @@ def test_first_solves_from_four_threads_load_the_band_solver_once():
         def first_solve():
             start.wait()
             s = wl.solve(cfg).state
-            states.append(s.t1.tobytes() + s.x1.tobytes() + s.lam.tobytes())
+            states.append(s.t.tobytes() + s.x.tobytes() + s.lam.tobytes())
 
         sys.setswitchinterval(1e-6)  # switch threads often inside the loader
         threads = [threading.Thread(target=first_solve) for _ in range(4)]

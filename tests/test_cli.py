@@ -89,6 +89,13 @@ def test_solve_linear_outputs(linear_config, tmp_path):
     header, rows = read_csv(out / "trajectory.csv")
     assert header == ["gamma", "t1", "t2", "x1", "x2"]
     assert len(rows) == 32
+    # the doubled format is kept: t2, x2 and lam_1..lam_4 are written from
+    # the physical limit, the lambda entries as the solve's own multipliers
+    assert [row[2] for row in rows] == [row[1] for row in rows]
+    assert [row[4] for row in rows] == [row[3] for row in rows]
+    assert summary["lambda"][:4] == [0.0] * 4
+    cfg = wl.ProblemConfig.from_json(linear_config.read_text())
+    assert summary["lambda"][4:] == wl.solve(cfg).state.lam.tolist()
 
     header, rows = read_csv(out / "diagnostics.csv")
     assert header[:4] == ["gamma", "t", "x", "dt_dgamma"]

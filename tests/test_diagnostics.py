@@ -65,7 +65,7 @@ def test_diagnostics_refuse_a_trajectory_of_another_grid(free_cfg, with_referenc
     # trajectory is refused before a reference of the right grid is read
     s = wl.initial_guess(replace(free_cfg, n_gamma=n))
     good = wl.initial_guess(free_cfg)
-    reference = (good.t1, good.x1) if with_reference else None
+    reference = (good.t, good.x) if with_reference else None
     want = rf"trajectory has \({n},\) and \({n},\) points but the grid has 32$"
     with pytest.raises(ValueError, match=want):
         wl.diagnose(s, free_cfg, reference=reference)
@@ -138,13 +138,13 @@ def random_state(n, seed):
     # a state at the physical limit with random coordinates
     rng = np.random.default_rng(seed)
     t, x = rng.standard_normal(n), rng.standard_normal(n)
-    return wl.StateVector(t, t, x, x, np.zeros(8))
+    return wl.State(t, x, np.zeros(4))
 
 
 def test_reference_errors_zero_for_identical():
     cfg = wl.ProblemConfig(potential=wl.free_potential(), n_gamma=9)
     s = random_state(9, 0)
-    err = wl.diagnose(s, cfg, reference=(s.t1, s.x1))
+    err = wl.diagnose(s, cfg, reference=(s.t, s.x))
     assert err.eps_final_x == err.eps_final_t == 0.0
     assert err.eps_l2_x == err.eps_l2_t == 0.0
 
@@ -154,7 +154,7 @@ def test_reference_errors_constant_offset():
     t = np.linspace(0.0, 1.0, 17)
     x = np.linspace(1.0, 1.1, 17)
     delta = 0.01
-    s = wl.StateVector(t, t, x + delta, x + delta, np.zeros(8))
+    s = wl.State(t, x + delta, np.zeros(4))
     err = wl.diagnose(s, cfg, reference=(t, x))
     assert err.eps_l2_x == pytest.approx(delta * np.sqrt(1.0), rel=1e-12)
     assert err.eps_l2_t == 0.0
@@ -169,22 +169,10 @@ def test_reference_of_another_size_is_refused(m):
         wl.diagnose(random_state(9, 0), cfg, reference=(np.ones(m), np.ones(m)))
 
 
-def test_diagnose_rejects_split_branches(free_cfg):
-    s = wl.initial_guess(free_cfg)
-    nan_at_5 = np.where(np.arange(s.n) == 5, np.nan, 0.0)
-    for split in (
-        replace(s, t2=s.t2 + 1e-6),
-        replace(s, t2=s.t2 + nan_at_5),  # a nan gap is no agreement
-        replace(s, x2=s.x2 + nan_at_5),
-    ):
-        with pytest.raises(wl.PhysicalLimitViolation):
-            wl.diagnose(split, free_cfg)
-
-
 def test_diagnose_report_contents(linear_cfg, linear_solution):
     oracle = wl.solve_geodesic_ode(linear_cfg)
     report = wl.diagnose(linear_solution.state, linear_cfg, reference=oracle)
-    assert report.n == linear_cfg.n_gamma
+    assert report.gamma.shape == (linear_cfg.n_gamma,)
     assert report.q_x is None and report.q_boost is None
     assert report.eps_final_x is not None and report.eps_final_x < 1e-3
     assert report.max_interior_delta_e <= 1e-9

@@ -11,11 +11,11 @@ from hypothesis import given, strategies as st
 import worldline as wl
 from worldline.action import metric_g00, metric_g00_prime, metric_g00_second
 from worldline.sbp import MIN_POINTS
-from worldline.solver import _lift
 from conftest import (
     dense,
     doubled_gradient,
     doubled_value,
+    lift,
     multiplier_block,
     pack,
     physical_limit_indices,
@@ -64,7 +64,7 @@ def test_action_invariant_under_time_shift(family, n_offset, potential, shift, s
         potential=potential, n_gamma=MIN_POINTS[family] + n_offset, order=family
     )
     rng = np.random.default_rng(seed)
-    z = pack(wl.initial_guess(cfg)) + 0.3 * rng.standard_normal(4 * cfg.n_gamma + 8)
+    z = pack(lift(wl.initial_guess(cfg))) + 0.3 * rng.standard_normal(4 * cfg.n_gamma + 8)
     s = unpack(z, cfg.n_gamma)
     shifted = replace(s, t1=s.t1 + shift, t2=s.t2 + shift)
     e = doubled_value(wl.DiscreteAction(cfg), s)
@@ -143,7 +143,7 @@ def test_banded_hessian_matches_dense_reference(grid, potential, seed):
     cfg = wl.ProblemConfig(potential=potential, n_gamma=n, order=family)
     action = wl.DiscreteAction(cfg)
     rng = np.random.default_rng(seed)
-    z = pack(wl.initial_guess(cfg)) + 0.3 * rng.standard_normal(4 * n + 8)
+    z = pack(lift(wl.initial_guess(cfg))) + 0.3 * rng.standard_normal(4 * n + 8)
     s = unpack(z, n)
     hess = action.hessian(s.t1, s.x1)
     assert (hess.kl, hess.ku) == {"sbp21": (8, 2), "sbp42": (14, 6)}[family]
@@ -155,7 +155,7 @@ def test_banded_hessian_matches_dense_reference(grid, potential, seed):
     assert np.all(np.abs(full - reference) <= 1e-12 * (1.0 + np.abs(reference)))
 
     grad = doubled_gradient(action, s)
-    step = pack(_lift(hess.solve(grad[rows])))
+    step = pack(lift(hess.solve(grad[rows])))
     assert np.array_equal(step[n : 2 * n], step[:n])
     assert np.array_equal(step[3 * n : 4 * n], step[2 * n : 3 * n])
     assert np.all(step[4 * n : 4 * n + 4] == 0)
@@ -180,7 +180,7 @@ def test_half_size_step_solves_the_doubled_system_at_the_limit(grid, potential, 
     cfg = wl.ProblemConfig(potential=potential, n_gamma=n, order=family)
     action = wl.DiscreteAction(cfg)
     rng = np.random.default_rng(seed)
-    z = pack(wl.initial_guess(cfg)) + 0.3 * rng.standard_normal(4 * n + 8)
+    z = pack(lift(wl.initial_guess(cfg))) + 0.3 * rng.standard_normal(4 * n + 8)
     s = unpack(z, n)
     s = replace(s, t2=s.t1, x2=s.x1, lam=np.append(np.zeros(4), s.lam[4:]))
     grad = doubled_gradient(action, s)
@@ -190,7 +190,7 @@ def test_half_size_step_solves_the_doubled_system_at_the_limit(grid, potential, 
 
     full = dense_hessian(action, s)
     rows, _ = physical_limit_indices(n)
-    step = pack(_lift(action.hessian(s.t1, s.x1).solve(grad[rows])))
+    step = pack(lift(action.hessian(s.t1, s.x1).solve(grad[rows])))
     residual = np.max(np.abs(full @ step + grad))
     scale = np.max(np.sum(np.abs(full), axis=1)) * np.max(np.abs(step))
     assert residual <= 1e-14 * (scale + np.max(np.abs(grad)))
@@ -206,12 +206,12 @@ def test_residual_is_the_restricted_gradient_at_the_lift(grid, potential, seed):
     rng = np.random.default_rng(seed)
     guess = wl.initial_guess(cfg)
     y = np.empty(2 * n + 4)
-    y[:-4:2] = guess.t1 + 0.3 * rng.standard_normal(n)
-    y[1:-4:2] = guess.x1 + 0.3 * rng.standard_normal(n)
+    y[:-4:2] = guess.t + 0.3 * rng.standard_normal(n)
+    y[1:-4:2] = guess.x + 0.3 * rng.standard_normal(n)
     y[-4:] = rng.standard_normal(4)
-    s = _lift(y)
+    s = lift(y)
 
-    r = action.gradient(s.t1, s.x1, s.lam)
+    r = action.gradient(s.t1, s.x1, s.lam[4:])
     grad = doubled_gradient(action, s)
     want = grad[physical_limit_indices(n)[0]]
 

@@ -7,8 +7,15 @@ import pytest
 import worldline as wl
 from worldline.action import BandedHessian
 from worldline.diagnostics import interior_slice
-from worldline.solver import _SQRT_EPS, _geodesic_seed, _lift, seed_steps
-from conftest import STALLING_CONFIG, constraints, doubled_gradient, pack, physical_limit_indices
+from worldline.solver import _SQRT_EPS, _geodesic_seed, seed_steps
+from conftest import (
+    STALLING_CONFIG,
+    constraints,
+    doubled_gradient,
+    lift,
+    pack,
+    physical_limit_indices,
+)
 
 FAMILIES = pytest.mark.parametrize("order", ["sbp21", "sbp42"])
 POTENTIALS = pytest.mark.parametrize(
@@ -19,13 +26,13 @@ POTENTIALS = pytest.mark.parametrize(
 def test_initial_guess_satisfies_constraints():
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=20)
     action = wl.DiscreteAction(cfg)
-    res = constraints(action, wl.initial_guess(cfg))
+    res = constraints(action, lift(wl.initial_guess(cfg)))
     assert np.max(np.abs(res)) <= 1e-12
 
 
 def test_initial_guess_linear_potential_has_forcing():
     cfg = wl.ProblemConfig(potential=wl.linear_potential(0.25), n_gamma=32)
-    g = doubled_gradient(wl.DiscreteAction(cfg), wl.initial_guess(cfg))
+    g = doubled_gradient(wl.DiscreteAction(cfg), lift(wl.initial_guess(cfg)))
     assert np.linalg.norm(g) > 1e-3
 
 
@@ -37,51 +44,37 @@ def test_free_particle_solve_is_exact(free_cfg, free_solution):
     gamma = free_cfg.gamma_grid
     line_t = free_cfg.t_i + free_cfg.tdot_i * (gamma - free_cfg.gamma_i)
     line_x = free_cfg.x_i + free_cfg.xdot_i * (gamma - free_cfg.gamma_i)
-    for v in (sol.state.t1, sol.state.t2):
-        assert np.max(np.abs(v - line_t)) <= 1e-10
-    for v in (sol.state.x1, sol.state.x2):
-        assert np.max(np.abs(v - line_x)) <= 1e-10
-    # connecting multipliers carry the discrete boundary term
-    assert sol.state.lam[4] == pytest.approx(-free_cfg.tdot_i, abs=1e-9)
-    assert sol.state.lam[5] == pytest.approx(free_cfg.xdot_i, abs=1e-9)
+    assert np.max(np.abs(sol.state.t - line_t)) <= 1e-10
+    assert np.max(np.abs(sol.state.x - line_x)) <= 1e-10
+    # connecting multipliers lam_5 and lam_6 carry the discrete boundary term
+    assert sol.state.lam[0] == pytest.approx(-free_cfg.tdot_i, abs=1e-9)
+    assert sol.state.lam[1] == pytest.approx(free_cfg.xdot_i, abs=1e-9)
 
 
 def test_linear_final_time_near_one(linear_solution):
     # with tdot_i = 1 the simulated window ends close to t = 1
     assert linear_solution.converged
-    assert linear_solution.state.t1[-1] == pytest.approx(1.0, abs=0.05)
+    assert linear_solution.state.t[-1] == pytest.approx(1.0, abs=0.05)
 
 
 def test_quartic_observables(quartic_cfg, quartic_solution):
     state = quartic_solution.state
-    assert state.t1[-1] == pytest.approx(1.47, abs=0.01)
+    assert state.t[-1] == pytest.approx(1.47, abs=0.01)
     op = quartic_cfg.build_operator()
-    assert (op.d @ state.t1)[-1] == pytest.approx(2.06, abs=0.03)
+    assert (op.d @ state.t)[-1] == pytest.approx(2.06, abs=0.03)
 
 
 @pytest.mark.parametrize("fixture", ["linear_solution", "quartic_solution"])
 def test_physical_limit(fixture, request):
-    # every Newton step is lifted from the half-size system
+    # the solution holds only the physical limit, and its gradient norm is
+    # the doubled system's at the lift t2 = t1, x2 = x1, lam_1..lam_4 = 0
     sol = request.getfixturevalue(fixture)
-    assert np.array_equal(sol.state.t1, sol.state.t2)
-    assert np.array_equal(sol.state.x1, sol.state.x2)
-    assert np.all(sol.state.lam[:4] == 0)
-
-
-def test_guess_is_projected_onto_the_physical_limit():
-    cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=32)
-    guess = wl.initial_guess(cfg)
-    rng = np.random.default_rng(7)
-    skewed = replace(
-        guess,
-        t2=guess.t2 + 0.1 * rng.standard_normal(32),
-        x2=guess.x2 - 0.05,
-        lam=np.append(rng.standard_normal(4), np.zeros(4)),
-    )
-    a = wl.solve(cfg, guess=skewed)
-    b = wl.solve(cfg, guess=guess)
-    np.testing.assert_array_equal(pack(a.state), pack(b.state))
-    assert a.grad_history == b.grad_history
+    cfg = request.getfixturevalue(fixture.replace("solution", "cfg"))
+    assert isinstance(sol.state, wl.State)
+    assert sol.state.t.shape == sol.state.x.shape == (cfg.n_gamma,)
+    assert sol.state.lam.shape == (4,)
+    grad = np.linalg.norm(doubled_gradient(wl.DiscreteAction(cfg), lift(sol.state)))
+    assert grad == pytest.approx(sol.grad_norm, rel=1e-6)
 
 
 @pytest.mark.parametrize("n", [32, 512])
@@ -92,7 +85,7 @@ def test_connecting_multiplier_carries_the_noether_charge(n, order, potential):
     cfg = wl.ProblemConfig(potential=potential, n_gamma=n, order=order)
     sol = wl.solve(cfg)
     q_t = wl.diagnose(sol.state, cfg).q_t
-    assert np.max(np.abs(sol.state.lam[4] + q_t[interior_slice])) <= 1e-11
+    assert np.max(np.abs(sol.state.lam[0] + q_t[interior_slice])) <= 1e-11
 
 
 def test_merit_monotonicity(quartic_solution):
@@ -104,14 +97,14 @@ def test_solve_deterministic():
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=24)
     a = wl.solve(cfg)
     b = wl.solve(cfg)
-    np.testing.assert_array_equal(pack(a.state), pack(b.state))
+    np.testing.assert_array_equal(pack(lift(a.state)), pack(lift(b.state)))
     assert a.grad_norm == b.grad_norm
     assert a.iterations == b.iterations
 
 
 def test_converged_flag_respects_tolerance(quartic_solution):
     assert quartic_solution.termination == "converged"
-    z = pack(quartic_solution.state)
+    z = pack(lift(quartic_solution.state))
     tol = wl.SolveOptions().grad_tol * (1 + np.max(np.abs(z)))
     assert quartic_solution.grad_norm <= tol
 
@@ -127,11 +120,10 @@ def test_non_convergence_carries_best_iterate():
     assert best.termination == "max_iter"
     assert best.grad_norm > 0
     assert best.state.n == 32
-    # the best iterate lies on the physical limit bit for bit, so diagnose
-    # (and the CLI, which writes its files) accepts it
-    np.testing.assert_array_equal(best.state.t2, best.state.t1)
-    np.testing.assert_array_equal(best.state.x2, best.state.x1)
-    np.testing.assert_array_equal(best.state.lam[:4], np.zeros(4))
+    # the best iterate is a physical-limit state, so diagnose (and the CLI,
+    # which writes its files) accepts it
+    assert best.state.lam.shape == (4,)
+    assert wl.diagnose(best.state, cfg).t.tobytes() == best.state.t.tobytes()
 
 
 def test_solve_options_validation():
@@ -177,11 +169,11 @@ def test_zero_pivot_is_a_linalg_error():
     cfg = wl.ProblemConfig(potential=wl.free_potential(), n_gamma=16)
     action = wl.DiscreteAction(cfg)
     s = wl.initial_guess(cfg)
-    hess = action.hessian(s.t1, s.x1)
+    hess = action.hessian(s.t, s.x)
     singular = replace(hess, ab=np.zeros_like(hess.ab))
     rows, _ = physical_limit_indices(cfg.n_gamma)
     with pytest.raises(np.linalg.LinAlgError):
-        singular.solve(doubled_gradient(action, s)[rows])
+        singular.solve(doubled_gradient(action, lift(s))[rows])
 
 
 def test_singular_newton_system_raises_at_the_first_iteration(monkeypatch):
@@ -228,7 +220,7 @@ def test_solve_iterates_on_branch_one_only(monkeypatch, order):
     calls = count_calls(
         monkeypatch,
         [(wl.DiscreteAction, name) for name in ("gradient", "hessian")]
-        + [(wl.StateVector, "__post_init__"), (BandedHessian, "resolve")],
+        + [(wl.State, "__post_init__"), (BandedHessian, "resolve")],
     )
     cfg = wl.ProblemConfig(potential=wl.quartic_potential(0.5), n_gamma=64, order=order)
     sol = wl.solve(cfg)
@@ -287,8 +279,8 @@ def test_one_band_lu_and_one_chord_step_near_the_floor(monkeypatch, label):
     assert calls["resolve"] == 1
     assert sol.termination == termination
     assert len(sol.grad_history) == 2 and sol.grad_norm == sol.grad_history[-1]
-    z = pack(sol.state)
-    grad_norm = np.linalg.norm(doubled_gradient(wl.DiscreteAction(cfg), sol.state))
+    z = pack(lift(sol.state))
+    grad_norm = np.linalg.norm(doubled_gradient(wl.DiscreteAction(cfg), lift(sol.state)))
     if termination == "converged":
         # the gradient test holds at the state returned, not only at the one before
         assert grad_norm <= wl.SolveOptions().grad_tol * (1.0 + np.max(np.abs(z)))
@@ -366,7 +358,7 @@ def test_seed_overflowing_a_float_is_the_straight_line():
     steep = wl.custom_potential(v=lambda x: x ** 400, dv=lambda x: 400.0 * x ** 399)
     cfg = wl.ProblemConfig(potential=steep, n_gamma=16, x_i=10.0)
     seed, line = _geodesic_seed(cfg), wl.initial_guess(cfg)
-    for name in ("t1", "t2", "x1", "x2", "lam"):
+    for name in ("t", "x", "lam"):
         assert np.array_equal(getattr(seed, name), getattr(line, name)), name
 
 
@@ -420,10 +412,10 @@ def test_roundoff_floor_is_a_newton_fixed_point():
     assert sol.termination == "roundoff_floor"
     # one more Newton step from the returned state moves it by rounding only
     action = wl.DiscreteAction(cfg)
-    hess = action.hessian(sol.state.t1, sol.state.x1)
+    hess = action.hessian(sol.state.t, sol.state.x)
     rows, _ = physical_limit_indices(cfg.n_gamma)
-    step = pack(_lift(hess.solve(doubled_gradient(action, sol.state)[rows])))
-    z = pack(sol.state)
+    step = pack(lift(hess.solve(doubled_gradient(action, lift(sol.state))[rows])))
+    z = pack(lift(sol.state))
     assert np.max(np.abs(step)) <= _SQRT_EPS * (1.0 + np.max(np.abs(z)))
 
 

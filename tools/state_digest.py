@@ -3,7 +3,8 @@
     python3 tools/state_digest.py > digests.txt
 
 Prints one line per item, a label and a SHA-256:
-- the state (t1, x1, lam), iterations, termination and grad_history of
+- the state (t, x, then lam: four zeros and lam_5..lam_8, the doubled
+  state's eight multipliers), grad_history, iterations and termination of
   ``wl.solve`` on each of large_solve's 12 configurations (with its
   iteration cap) and small_cli's 96 seed-1 configurations;
 - the output digest of small_cli at seeds 1-20 and refine_sweep at seeds
@@ -45,7 +46,7 @@ def state_digest(cfg, opts=None) -> str:
         return hashlib.sha256(f"{type(exc).__name__}: {exc}".encode()).hexdigest()
     s = sol.state
     h = hashlib.sha256()
-    for a in (s.t1, s.x1, s.lam, np.array(sol.grad_history)):
+    for a in (s.t, s.x, np.append(np.zeros(4), s.lam), np.array(sol.grad_history)):
         h.update(np.ascontiguousarray(a, dtype=float).tobytes())
     h.update(f"{sol.iterations} {sol.termination}".encode())
     return h.hexdigest()
